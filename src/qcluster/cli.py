@@ -22,6 +22,7 @@ from .seeds import (
     QuantumSeed,
     dump_seed,
     find_skew_symmetrizer,
+    json_ints,
     load_seed,
     principal_extension,
     principal_lambda,
@@ -194,11 +195,15 @@ def _cmd_principal(args) -> int:
     obj = _load_input(args.input)
     if not isinstance(obj, dict) or "B" not in obj:
         raise ValueError("principal-lambda needs a JSON object with an n x n 'B'")
-    bmat = [[int(x) for x in row] for row in obj["B"]]
+    bmat = json_ints(obj["B"], "B", 2)
     lambda0 = obj.get("Lambda0")
+    if lambda0 is not None:
+        lambda0 = json_ints(lambda0, "Lambda0", 2)
     d = obj.get("D")
+    if d is not None:
+        d = json_ints(d, "D", 1)
     lam = principal_lambda(bmat, lambda0, d)
-    d_used = tuple(int(x) for x in d) if d is not None else find_skew_symmetrizer(bmat)
+    d_used = tuple(d) if d is not None else find_skew_symmetrizer(bmat)
     data = {"Lambda": [list(row) for row in lam.rows()], "d": list(d_used)}
     if args.full_seed:
         ext = principal_extension(bmat)

@@ -77,10 +77,15 @@ def canonical_form(seed):
     return ClassicalSeed(new_b, new_vars), tuple(pi)
 
 
+def _canonical(seed):
+    """(canonical seed, pi, key): canonical_form plus the serialized key."""
+    canon, pi = canonical_form(seed)
+    return canon, pi, _json_bytes(dump_seed(canon, full=True))
+
+
 def canonical_key(seed) -> bytes:
     """Serialized canonical form; equal iff seeds agree up to relabeling."""
-    canon, _ = canonical_form(seed)
-    return _json_bytes(dump_seed(canon, full=True))
+    return _canonical(seed)[2]
 
 
 class GraphStatus(Enum):
@@ -142,15 +147,28 @@ def explore(
     expanded (CappedByDepth if any such node remains unexpanded).  Caps
     of None mean unlimited.  With the default max_depth=32, a max_seeds
     larger than the number of seeds within depth 32 never binds; on a
-    rank-2 infinite class that number is 2*32+1 = 65.  NotDivisibleError from a mutation is
-    re-raised with the path from the root attached.
+    rank-2 infinite class that number is 2*32+1 = 65.  NotDivisibleError
+    from a mutation is re-raised with the path from the root attached.
+
+    Each edge is mutated once.  When expanding X in direction k yields Y
+    with relabeling pi, the reverse edge (Y, pi[k], X) is recorded then
+    and taken as is when Y is expanded; no mutation, canonicalization or
+    key is computed for it.  This adds no unchecked seed: every stored
+    seed still comes from a mutation that passed its re-multiplication
+    check, and the reused edge only joins two such seeds.  Classically
+    the reverse exchange relation is the identity the forward check
+    verified (negating column k swaps the two monomials, the other
+    variables stay); for quantum seeds it is Berenstein-Zelevinsky's
+    theorem that mutation is an involution.  Reused edges never create
+    nodes, so nodes, depths, parents, edges and status are those of
+    mutating every direction.
     """
-    canon, _ = canonical_form(root)
-    rkey = _json_bytes(dump_seed(canon, full=True))
+    canon, _, rkey = _canonical(root)
     nodes: dict[bytes, ClassicalSeed | QuantumSeed] = {rkey: canon}
     depths: dict[bytes, int] = {rkey: 0}
     parents: dict[bytes, tuple[bytes, int] | None] = {rkey: None}
     edges: set[tuple[bytes, int, bytes]] = set()
+    reverse: dict[tuple[bytes, int], bytes] = {}
     queue: deque[bytes] = deque([rkey])
     status = None
     depth_capped = False
@@ -162,25 +180,27 @@ def explore(
             depth_capped = True
             continue
         for k in seed.b.ex:
-            try:
-                child = mutate(seed, k)
-            except NotDivisibleError as exc:
-                raise NotDivisibleError(
-                    str(exc),
-                    seed=exc.seed,
-                    direction=exc.direction,
-                    path=_trace_path(parents, key) + (k,),
-                ) from None
-            child_c, _ = canonical_form(child)
-            ckey = _json_bytes(dump_seed(child_c, full=True))
-            if ckey not in nodes:
-                if max_seeds is not None and len(nodes) >= max_seeds:
-                    status = GraphStatus.CAPPED_BY_SEEDS
-                    break
-                nodes[ckey] = child_c
-                depths[ckey] = depth + 1
-                parents[ckey] = (key, k)
-                queue.append(ckey)
+            ckey = reverse.pop((key, k), None)
+            if ckey is None:
+                try:
+                    child = mutate(seed, k)
+                except NotDivisibleError as exc:
+                    raise NotDivisibleError(
+                        str(exc),
+                        seed=exc.seed,
+                        direction=exc.direction,
+                        path=_trace_path(parents, key) + (k,),
+                    ) from None
+                child_c, pi, ckey = _canonical(child)
+                if ckey not in nodes:
+                    if max_seeds is not None and len(nodes) >= max_seeds:
+                        status = GraphStatus.CAPPED_BY_SEEDS
+                        break
+                    nodes[ckey] = child_c
+                    depths[ckey] = depth + 1
+                    parents[ckey] = (key, k)
+                    queue.append(ckey)
+                reverse[(ckey, pi[k])] = key
             edges.add((key, k, ckey))
     if status is None:
         status = GraphStatus.CAPPED_BY_DEPTH if depth_capped else GraphStatus.CLOSED

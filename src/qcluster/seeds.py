@@ -13,6 +13,7 @@ of the JSON seed format is translated at the (de)serialization boundary.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -425,6 +426,21 @@ def specialize_seed(seed: QuantumSeed) -> ClassicalSeed:
     return ClassicalSeed(seed.b, tuple(v.specialize_q1() for v in seed.vars))
 
 
+def json_ints(value, what: str, depth: int = 0):
+    """An integer (depth 0), a list of them (1) or a list of rows (2) from JSON.
+
+    bool, float and str values and non-list containers raise ValueError
+    naming `what`; nothing is coerced, so 1.7 is never read as 1.
+    """
+    if depth == 0:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ValueError(f"{what} must hold integers, got {json.dumps(value)}")
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return [json_ints(x, what, depth - 1) for x in value]
+
+
 def load_seed(obj: Mapping) -> ClassicalSeed | QuantumSeed:
     """Build an initial seed from parsed seed-file JSON.
 
@@ -439,8 +455,8 @@ def load_seed(obj: Mapping) -> ClassicalSeed | QuantumSeed:
     if "vars" in obj:
         raise ValueError("seed files describe initial seeds; 'vars' is not accepted")
     try:
-        m = int(obj["m"])
-        n = int(obj["n"])
+        m = json_ints(obj["m"], "m")
+        n = json_ints(obj["n"], "n")
         bmat = obj["B"]
     except KeyError as exc:
         raise ValueError(f"seed file is missing key {exc}") from None
@@ -450,15 +466,15 @@ def load_seed(obj: Mapping) -> ClassicalSeed | QuantumSeed:
     if ex_raw is None:
         ex = tuple(range(n))
     else:
-        ex = tuple(int(k) - 1 for k in ex_raw)
-    rows = [[int(x) for x in row] for row in bmat]
+        ex = tuple(k - 1 for k in json_ints(ex_raw, "ex", 1))
+    rows = json_ints(bmat, "B", 2)
     if len(rows) != m or any(len(row) != n for row in rows):
         raise ValueError(f"B must be {m}x{n}")
     b = ExchangeMatrix(rows, ex)
     lam_raw = obj.get("Lambda")
     if lam_raw is None:
         return ClassicalSeed.initial(b)
-    lam = SkewMatrix(lam_raw)
+    lam = SkewMatrix(json_ints(lam_raw, "Lambda", 2))
     if lam.m != m:
         raise ValueError(f"Lambda must be {m}x{m}")
     return QuantumSeed.initial(b, lam)

@@ -105,6 +105,35 @@ def test_check_missing_file_exits_2(capsys, tmp_path):
     assert json.loads(err)["error"] == "parse_error"
 
 
+A2Q = {"m": 2, "n": 2, "B": [[0, 1], [-1, 0]], "Lambda": [[0, 1], [-1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"Lambda": 5},
+        {"Lambda": [[0, 1], 5]},
+        {"Lambda": [[0, 1.7], [-1, 0]]},
+        {"B": [[0, 1.7], [-1, 0]]},
+        {"B": [[0, True], [-1, 0]]},
+        {"B": [[0, "1"], [-1, 0]]},
+        {"B": [[0, 1], "-1"]},
+        {"m": 2.0},
+        {"n": True},
+        {"ex": [1, "2"]},
+        {"ex": "12"},
+    ],
+    ids=repr,
+)
+@pytest.mark.parametrize("verb", ["check", "explore"])
+def test_non_integer_seed_file_exits_2(capsys, tmp_path, verb, patch):
+    path = write_json(tmp_path, "bad.json", {**A2Q, **patch})
+    code, out, err = run(capsys, [verb, path])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "parse_error"
+
+
 # -- mutate --------------------------------------------------------------
 
 
@@ -257,6 +286,27 @@ def test_principal_lambda_bad_d_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, ["principal-lambda", path])
     assert code == 1
     assert json.loads(err)["error"] == "not_symmetrizable"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"B": [[0, 1.7], [-1, 0]]},
+        {"B": [[0, True], [-1, 0]]},
+        {"B": [0, 1]},
+        {"B": [[0, 1], [-1, 0]], "Lambda0": [[0, 1.7], [-1.7, 0]]},
+        {"B": [[0, 1], [-1, 0]], "Lambda0": 5},
+        {"B": [[0, 1], [-1, 0]], "D": [1, "1"]},
+        {"B": [[0, 1], [-1, 0]], "D": [1.0, 1.0]},
+    ],
+    ids=repr,
+)
+def test_principal_lambda_non_integer_input_exits_2(capsys, tmp_path, obj):
+    path = write_json(tmp_path, "bad.json", obj)
+    code, out, err = run(capsys, ["principal-lambda", path])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "parse_error"
 
 
 def test_principal_lambda_text(capsys, tmp_path):

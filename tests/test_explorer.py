@@ -1,5 +1,6 @@
 """Exchange-graph exploration, canonical keys, Laurent membership reports."""
 
+import hashlib
 import json
 import random
 
@@ -21,6 +22,7 @@ from qcluster import (
     export_json,
     laurent_report,
     mutate,
+    principal_seed,
     quantum_mutate,
     verify_quantum_seed,
 )
@@ -326,3 +328,149 @@ def test_random_walks_land_inside_closed_graph():
     for _ in range(25):
         s = quantum_mutate(s, rng.choice(s.ex))
         assert canonical_key(s) in g.nodes
+
+
+# -- reverse-edge reuse: every edge recomputed, counts and bytes pinned ----
+
+
+def a_rows(n):
+    return [[1 if j == i + 1 else -1 if j == i - 1 else 0 for j in range(n)] for i in range(n)]
+
+
+B3_ROWS = [[0, 1, 0], [-1, 0, 1], [0, -2, 0]]
+D4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
+F4_ROWS = [[0, 1, 0, 0], [-1, 0, 2, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
+G2_ROWS = [[0, 1], [-3, 0]]
+KRONECKER_4 = [[0, 1], [-4, 0]]
+
+
+def classical(rows, ex=None):
+    return ClassicalSeed.initial(ExchangeMatrix(rows, ex))
+
+
+# (root, explore keyword arguments, expected (status, nodes, edges))
+EDGE_CASES = {
+    "A2": (lambda: classical(a_rows(2)), {}, ("Closed", 5, 10)),
+    "A3": (lambda: classical(a_rows(3)), {}, ("Closed", 14, 42)),
+    "A4": (lambda: classical(a_rows(4)), {}, ("Closed", 42, 168)),
+    "A5": (lambda: classical(a_rows(5)), {}, ("Closed", 132, 660)),
+    "B3": (lambda: classical(B3_ROWS), {}, ("Closed", 20, 60)),
+    "D4": (lambda: classical(D4_ROWS), {}, ("Closed", 50, 200)),
+    "F4": (lambda: classical(F4_ROWS), {}, ("Closed", 105, 420)),
+    "G2": (lambda: classical(G2_ROWS), {}, ("Closed", 8, 16)),
+    "quantum-A3": (lambda: principal_seed(a_rows(3)), {}, ("Closed", 14, 42)),
+    "quantum-D4": (lambda: principal_seed(D4_ROWS), {}, ("Closed", 50, 200)),
+    "quantum-G2": (lambda: principal_seed(G2_ROWS), {}, ("Closed", 8, 16)),
+    "kronecker-frozen": (
+        lambda: classical(KRONECKER + [[1, -1]], [0, 1]),
+        {"max_depth": 8},
+        ("CappedByDepth", 17, 30),
+    ),
+    "kronecker-4-frozen": (
+        lambda: classical(KRONECKER_4 + [[1, -1]], [0, 1]),
+        {"max_depth": 8},
+        ("CappedByDepth", 17, 30),
+    ),
+    "kronecker-quantum": (
+        lambda: principal_seed(KRONECKER),
+        {"max_depth": 8},
+        ("CappedByDepth", 17, 30),
+    ),
+    "kronecker-4-quantum": (
+        lambda: principal_seed(KRONECKER_4),
+        {"max_depth": 8},
+        ("CappedByDepth", 17, 30),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_every_edge_recomputes_exactly(name):
+    build, kwargs, expected = EDGE_CASES[name]
+    g = explore(build(), **kwargs)
+    assert (g.status.value, g.node_count, g.edge_count) == expected
+    for src, k, dst in g.edges:
+        assert canonical_key(mutate(g.nodes[src], k)) == dst
+
+
+@pytest.mark.parametrize(
+    "max_seeds, expected",
+    [
+        (1, (1, 0)),
+        (2, (2, 1)),
+        (3, (3, 2)),
+        (7, (7, 7)),
+        (20, (20, 32)),
+        (41, (41, 78)),
+    ],
+)
+def test_seed_cap_counts_pinned_on_a5(max_seeds, expected):
+    g = explore(classical(a_rows(5)), max_seeds=max_seeds)
+    assert g.status is GraphStatus.CAPPED_BY_SEEDS
+    assert (g.node_count, g.edge_count) == expected
+
+
+# sha256 of export_json(graph, full=True), recorded when every edge was
+# still computed by its own mutation
+EXPORT_DIGESTS = {
+    "A5": (
+        lambda: classical(a_rows(5)),
+        {},
+        "c0d7cf95c1f0c494c12587ab5443ad83d9b2ef02797f3ad00edba92079d13c2d",
+    ),
+    "quantum-D4": (
+        lambda: principal_seed(D4_ROWS),
+        {},
+        "168c53ebb5e2f91be4068a031f40bb1f75bbc716654d8b10198410a34c7b6975",
+    ),
+    "kronecker-depth-10": (
+        lambda: classical(KRONECKER),
+        {"max_depth": 10},
+        "44795ffbc84b595b7ce28c8e4fa7073a8bbe0fbe60c3edfe01ff8ec27d5572c6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
+def test_export_bytes_pinned(name):
+    build, kwargs, digest = EXPORT_DIGESTS[name]
+    text = export_json(explore(build(), **kwargs), full=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.fixture
+def mutate_calls(monkeypatch):
+    import qcluster.explorer
+
+    calls = []
+
+    def counting(seed, k):
+        calls.append(k)
+        return mutate(seed, k)
+
+    monkeypatch.setattr(qcluster.explorer, "mutate", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build, kwargs, expected",
+    [
+        (lambda: classical(a_rows(5)), {}, 330),
+        (lambda: principal_seed(D4_ROWS), {}, 100),
+        (lambda: classical(KRONECKER), {"max_depth": 10}, 20),
+        (lambda: principal_seed(KRONECKER), {"max_depth": 4}, 8),
+    ],
+    ids=["A5", "quantum-D4", "kronecker-depth-10", "kronecker-quantum-depth-4"],
+)
+def test_explore_mutates_each_edge_once(mutate_calls, build, kwargs, expected):
+    g = explore(build(), **kwargs)
+    assert len(mutate_calls) == expected
+    if g.status is GraphStatus.CLOSED:
+        assert len(mutate_calls) == g.edge_count // 2
+
+
+def test_laurent_report_mutates_once_per_step(mutate_calls):
+    seq = [0, 1, 2, 1, 0, 3, 2]
+    rep = laurent_report(principal_seed(D4_ROWS), seq)
+    assert rep.ok
+    assert len(mutate_calls) == len(seq)

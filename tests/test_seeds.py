@@ -380,6 +380,15 @@ def test_seed_json_defaults_and_errors():
         load_seed({"m": 2, "n": 2, "B": A2_ROWS, "Lambda": [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]})
 
 
+def test_seed_json_rejects_non_integers():
+    # nothing is truncated or coerced: 1.7 is not 1 and true is not 1
+    for patch in ({"B": [[0, 1.7], [-1, 0]]}, {"B": [[0, True], [-1, 0]]},
+                  {"m": "2"}, {"ex": [1.0, 2]}, {"Lambda": 5},
+                  {"Lambda": [[0, False], [0, 0]]}):
+        with pytest.raises(ValueError):
+            load_seed({"m": 2, "n": 2, "B": A2_ROWS, **patch})
+
+
 def test_seed_validation():
     b = ExchangeMatrix(A2_ROWS)
     with pytest.raises(ValueError):
