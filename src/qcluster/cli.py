@@ -19,6 +19,7 @@ from .errors import ClusterError, IncompatibleError, NotDivisibleError
 from .explorer import explore, export_dot, export_json, laurent_report
 from .mutation import verify_quantum_seed
 from .seeds import (
+    ClassicalSeed,
     QuantumSeed,
     dump_seed,
     find_skew_symmetrizer,
@@ -206,14 +207,8 @@ def _cmd_principal(args) -> int:
     d_used = tuple(d) if d is not None else find_skew_symmetrizer(bmat)
     data = {"Lambda": [list(row) for row in lam.rows()], "d": list(d_used)}
     if args.full_seed:
-        ext = principal_extension(bmat)
-        data["seed"] = {
-            "m": ext.m,
-            "n": ext.n,
-            "ex": [k + 1 for k in ext.ex],
-            "B": [list(row) for row in ext.rows()],
-            "Lambda": [list(row) for row in lam.rows()],
-        }
+        ext = ClassicalSeed.initial(principal_extension(bmat))
+        data["seed"] = {**dump_seed(ext), "Lambda": data["Lambda"]}
     if args.format == "json":
         _print_json(data)
     else:

@@ -20,7 +20,7 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .errors import IncompatibleError, NotSymmetrizableError
-from .torus import CommLaurent, SkewMatrix, TorusElement
+from .torus import CommLaurent, SkewMatrix, TorusElement, _int_tuple
 
 
 def find_skew_symmetrizer(b) -> tuple[int, ...]:
@@ -35,7 +35,7 @@ def find_skew_symmetrizer(b) -> tuple[int, ...]:
     if isinstance(b, ExchangeMatrix):
         rows = b.principal()
     else:
-        rows = tuple(tuple(int(x) for x in row) for row in b)
+        rows = tuple(_int_tuple(row, "B") for row in b)
     n = len(rows)
     for i, row in enumerate(rows):
         if len(row) != n:
@@ -100,7 +100,7 @@ class ExchangeMatrix:
 
     def __init__(self, rows: Sequence[Sequence[int]], ex: Sequence[int] | None = None):
         m = len(rows)
-        tup = tuple(tuple(int(x) for x in row) for row in rows)
+        tup = tuple(_int_tuple(row, "B") for row in rows)
         if m < 1:
             raise ValueError("need at least one row")
         n = len(tup[0])
@@ -112,7 +112,7 @@ class ExchangeMatrix:
         if ex is None:
             exs = tuple(range(n))
         else:
-            exs = tuple(int(k) for k in ex)
+            exs = _int_tuple(ex, "ex")
         if len(exs) != n or len(set(exs)) != n:
             raise ValueError(f"ex must list {n} distinct indices")
         if exs != tuple(sorted(exs)) or exs[0] < 0 or exs[-1] >= m:
@@ -272,7 +272,7 @@ def principal_lambda(
     and a skew-symmetric L0 (default: zero).  The result is verified
     against [B; I] before being returned.
     """
-    rows = tuple(tuple(int(x) for x in row) for row in bmat)
+    rows = tuple(_int_tuple(row, "B") for row in bmat)
     n = len(rows)
     for i, row in enumerate(rows):
         if len(row) != n:
@@ -280,7 +280,7 @@ def principal_lambda(
     if d is None:
         dd = find_skew_symmetrizer(rows)
     else:
-        dd = tuple(int(x) for x in d)
+        dd = _int_tuple(d, "D")
         if len(dd) != n or any(x <= 0 for x in dd):
             raise ValueError(f"D must be {n} positive integers")
         for i in range(n):
@@ -466,7 +466,10 @@ def load_seed(obj: Mapping) -> ClassicalSeed | QuantumSeed:
     if ex_raw is None:
         ex = tuple(range(n))
     else:
-        ex = tuple(k - 1 for k in json_ints(ex_raw, "ex", 1))
+        ex = json_ints(ex_raw, "ex", 1)
+        if ex != sorted(ex) or not all(1 <= k <= m for k in ex):
+            raise ValueError(f"ex must be sorted within [1, {m}]")
+        ex = tuple(k - 1 for k in ex)
     rows = json_ints(bmat, "B", 2)
     if len(rows) != m or any(len(row) != n for row in rows):
         raise ValueError(f"B must be {m}x{n}")

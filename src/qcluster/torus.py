@@ -13,6 +13,10 @@ X_1^{a_1} ... X_m^{a_m} appears only in the conversion helpers, never
 in the stored representation, which makes bar-invariance of the basis
 structural.
 
+At q = 1 the torus becomes the ordinary Laurent ring.  Both rings are
+one sparse kernel, _SparseLaurent; TorusElement and CommLaurent supply
+only their coefficient ring, frame, product rule and rendering.
+
 All values are immutable; all operations are pure.
 """
 
@@ -50,6 +54,31 @@ def _support_box(exps: Iterable[tuple[int, ...]], m: int):
     return lo, hi
 
 
+def _add_into(acc: dict, items) -> dict:
+    """Add (exponent, coefficient) pairs into the term map acc; returns acc."""
+    for exp, coeff in items:
+        prev = acc.get(exp)
+        s = coeff if prev is None else prev + coeff
+        if s:
+            acc[exp] = s
+        elif exp in acc:
+            del acc[exp]
+    return acc
+
+
+def _int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
+    """The values as a tuple, or ValueError naming `what` if one is not an int.
+
+    bool, float and str are rejected like any other type, so nothing is
+    truncated: 1.7 is never read as 1, nor True as 1.
+    """
+    tup = tuple(values)
+    for x in tup:
+        if type(x) is not int:
+            raise ValueError(f"{what} must hold integers, got {x!r}")
+    return tup
+
+
 class SkewMatrix:
     """A skew-symmetric m x m integer matrix, the frame of a torus."""
 
@@ -57,7 +86,7 @@ class SkewMatrix:
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         m = len(rows)
-        tup = tuple(tuple(int(x) for x in row) for row in rows)
+        tup = tuple(_int_tuple(row, "Lambda") for row in rows)
         for i, row in enumerate(tup):
             if len(row) != m:
                 raise ValueError(f"row {i} has length {len(row)}, expected {m}")
@@ -123,79 +152,73 @@ def reorder_weight(lam: SkewMatrix, a: Sequence[int]) -> int:
     return total
 
 
-def _coerce_scalar(value) -> QLaurent | None:
-    if isinstance(value, QLaurent):
-        return value
-    if isinstance(value, int):
-        return QLaurent.from_int(value)
-    return None
+class _SparseLaurent:
+    """A finite sum of terms coeff * X^a, a in Z^m, over one frame.
 
+    The frame is the SkewMatrix of a TorusElement or the variable count
+    m of a CommLaurent.  The term map never stores a zero coefficient,
+    so two elements are equal iff their frames and term maps are.
 
-class TorusElement:
-    """A finite sum of normalized monomials coeff * X^a over one frame."""
+    Subclasses supply the coefficient ring (_scalar and the JSON
+    coefficient codecs), the frame's width (_width), their error wording
+    (_NAME, _RING, _MISMATCH), the leading-coefficient quotient of exact
+    division (_lead_quotient) and the product kernel (_mul_into).
+    """
 
-    __slots__ = ("_lam", "_terms")
+    __slots__ = ("_frame", "_terms")
 
-    def __init__(
-        self,
-        lam: SkewMatrix,
-        terms: Mapping[tuple[int, ...], QLaurent | int]
-        | Iterable[tuple[tuple[int, ...], QLaurent | int]] = (),
-    ):
-        self._lam = lam
-        m = lam.m
+    def __init__(self, frame, terms=()):
+        m = self._width(frame)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, ...], QLaurent] = {}
+        checked = []
         for exp, coeff in items:
-            exp = tuple(int(x) for x in exp)
+            exp = _int_tuple(exp, "exponent")
             if len(exp) != m:
                 raise ValueError(f"exponent {exp} has length {len(exp)}, expected {m}")
-            c = _coerce_scalar(coeff)
+            c = self._scalar(coeff)
             if c is None:
                 raise TypeError(f"bad coefficient type {type(coeff).__name__}")
-            if c:
-                prev = acc.get(exp)
-                s = c if prev is None else prev + c
-                if s:
-                    acc[exp] = s
-                elif exp in acc:
-                    del acc[exp]
-        self._terms = acc
+            checked.append((exp, c))
+        self._frame = frame
+        self._terms = _add_into({}, checked)
+
+    @classmethod
+    def _raw(cls, frame, terms: dict):
+        out = cls.__new__(cls)
+        out._frame = frame
+        out._terms = terms
+        return out
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, lam: SkewMatrix) -> "TorusElement":
-        return cls(lam)
+    def zero(cls, frame):
+        return cls(frame)
 
     @classmethod
-    def one(cls, lam: SkewMatrix) -> "TorusElement":
-        return cls(lam, {(0,) * lam.m: 1})
+    def one(cls, frame):
+        return cls(frame, {(0,) * cls._width(frame): 1})
 
     @classmethod
-    def monomial(cls, lam: SkewMatrix, exp: Sequence[int], coeff=1) -> "TorusElement":
+    def monomial(cls, frame, exp: Sequence[int], coeff=1):
         """The single-term element coeff * X^exp."""
-        return cls(lam, {tuple(exp): coeff})
+        return cls(frame, {tuple(exp): coeff})
 
     @classmethod
-    def generator(cls, lam: SkewMatrix, i: int) -> "TorusElement":
+    def generator(cls, frame, i: int):
         """The i-th generator X_i = X^{e_i} (0-based index)."""
-        m = lam.m
+        m = cls._width(frame)
         if not 0 <= i < m:
             raise ValueError(f"generator index {i} out of range for m={m}")
         e = [0] * m
         e[i] = 1
-        return cls(lam, {tuple(e): 1})
+        return cls(frame, {tuple(e): 1})
 
     # -- inspection ---------------------------------------------------
 
     @property
-    def lam(self) -> SkewMatrix:
-        return self._lam
-
-    @property
     def m(self) -> int:
-        return self._lam.m
+        return self._width(self._frame)
 
     def items(self):
         return self._terms.items()
@@ -209,8 +232,178 @@ class TorusElement:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, exp: Sequence[int]) -> QLaurent:
-        return self._terms.get(tuple(exp), QLaurent.zero())
+    def coefficient(self, exp: Sequence[int]):
+        return self._terms.get(tuple(exp), self._scalar(0))
+
+    def min_exponents(self) -> tuple[int, ...]:
+        """Componentwise minimum over the support (the denominator data)."""
+        if not self._terms:
+            raise ValueError(f"zero {self._NAME} has no support")
+        lo, _ = _support_box(self._terms, self.m)
+        return tuple(lo)
+
+    def _operand(self, other):
+        """other as an element of this ring (of any frame), else None."""
+        return other if isinstance(other, type(self)) else None
+
+    def _check_frame(self, other) -> None:
+        if self._frame != other._frame:
+            error, message = self._MISMATCH
+            raise error(message)
+
+    # -- arithmetic ---------------------------------------------------
+
+    def __add__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        self._check_frame(other)
+        return self._raw(self._frame, _add_into(dict(self._terms), other._terms.items()))
+
+    def __neg__(self):
+        return self._raw(self._frame, {e: -c for e, c in self._terms.items()})
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            self._check_frame(other)
+            return self._product(other)
+        c = self._scalar(other)
+        if c is None:
+            return NotImplemented
+        return self._scaled(c)
+
+    # scalars are central, so left and right scalar action agree
+    __rmul__ = __mul__
+
+    def _product(self, other):
+        acc: dict = {}
+        self._mul_into(acc, self._terms, other._terms)
+        return self._raw(self._frame, acc)
+
+    def _scaled(self, c):
+        if not c:
+            return self._raw(self._frame, {})
+        return self._raw(self._frame, {e: coeff * c for e, coeff in self._terms.items()})
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("only nonnegative integer powers are defined")
+        result = self.one(self._frame)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    # -- division -----------------------------------------------------
+
+    def _exact_div(self, g, right: bool):
+        """h with h * g == self (right) or g * h == self, else NotDivisibleError.
+
+        Greedy cancellation of the graded-lex leading term.  Every
+        quotient exponent lies in the box [min f - min g, max f - max g],
+        taken componentwise over the supports, so the loop stops as soon
+        as one would leave it.
+        """
+        if not isinstance(g, type(self)):
+            raise TypeError(f"cannot divide {type(self).__name__} by {type(g).__name__}")
+        self._check_frame(g)
+        if not g:
+            raise ZeroDivisionError(f"{self._RING} division by zero")
+        if not self._terms:
+            return self.zero(self._frame)
+        m = self.m
+        f_lo, f_hi = _support_box(self._terms, m)
+        g_lo, g_hi = _support_box(g._terms, m)
+        lo = [fl - gl for fl, gl in zip(f_lo, g_lo)]
+        hi = [fh - gh for fh, gh in zip(f_hi, g_hi)]
+        if any(l > h for l, h in zip(lo, hi)):
+            raise NotDivisibleError("divisor support exceeds dividend support")
+        b = max(g._terms, key=_grlex)
+        cg = g._terms[b]
+        rem = dict(self._terms)
+        quot: dict = {}
+        while rem:
+            t = max(rem, key=_grlex)
+            a = _vsub(t, b)
+            if any(x < l or x > h for x, l, h in zip(a, lo, hi)):
+                raise NotDivisibleError("leading term of remainder is not reducible")
+            c = self._lead_quotient(rem[t], cg, a, b, right)
+            quot[a] = c
+            # subtract (c X^a) * g  (resp. g * (c X^a)) from the remainder
+            term = {a: -c}
+            if right:
+                self._mul_into(rem, term, g._terms)
+            else:
+                self._mul_into(rem, g._terms, term)
+        return self._raw(self._frame, quot)
+
+    # -- comparison / serialization ------------------------------------
+
+    def __eq__(self, other) -> bool:
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self._frame == other._frame and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self._frame, frozenset(self._terms.items())))
+
+    def to_json(self) -> list[dict]:
+        return [
+            {"exp": list(e), "coeff": self._coeff_to_json(self._terms[e])}
+            for e in self.support()
+        ]
+
+    @classmethod
+    def from_json(cls, frame, records: Iterable[Mapping]):
+        return cls(
+            frame,
+            [(tuple(r["exp"]), cls._coeff_from_json(r["coeff"])) for r in records],
+        )
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class TorusElement(_SparseLaurent):
+    """A finite sum of normalized monomials coeff * X^a over one frame."""
+
+    __slots__ = ()
+    _NAME = "element"
+    _RING = "torus"
+    _MISMATCH = (FrameMismatchError, "torus elements live over different skew matrices")
+    _coeff_to_json = staticmethod(QLaurent.to_json)
+    _coeff_from_json = staticmethod(QLaurent.from_json)
+
+    # Bound here rather than inherited: the benchmark tracer
+    # (perfbench/tracing.py) wraps them in each class's own __dict__.
+    # Binding __eq__ drops the inherited __hash__, so it is bound too.
+    __mul__ = _SparseLaurent.__mul__
+    __pow__ = _SparseLaurent.__pow__
+    __eq__ = _SparseLaurent.__eq__
+    __hash__ = _SparseLaurent.__hash__
+    to_json = _SparseLaurent.to_json
+
+    @staticmethod
+    def _width(lam: SkewMatrix) -> int:
+        return lam.m
+
+    @property
+    def lam(self) -> SkewMatrix:
+        return self._frame
+
+    @staticmethod
+    def _scalar(value) -> QLaurent | None:
+        if isinstance(value, QLaurent):
+            return value
+        if isinstance(value, int):
+            return QLaurent.from_int(value)
+        return None
 
     def leading(self) -> tuple[tuple[int, ...], QLaurent]:
         """Graded-lex leading (exponent, coefficient) pair."""
@@ -219,104 +412,33 @@ class TorusElement:
         exp = max(self._terms, key=_grlex)
         return exp, self._terms[exp]
 
-    def min_exponents(self) -> tuple[int, ...]:
-        """Componentwise minimum over the support (the denominator data)."""
-        if not self._terms:
-            raise ValueError("zero element has no support")
-        lo, _ = _support_box(self._terms, self.m)
-        return tuple(lo)
-
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
-    def _check_frame(self, other: "TorusElement") -> None:
-        if self._lam != other._lam:
-            raise FrameMismatchError(
-                "torus elements live over different skew matrices"
-            )
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other) -> "TorusElement":
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        self._check_frame(other)
-        acc = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            prev = acc.get(exp)
-            s = coeff if prev is None else prev + coeff
-            if s:
-                acc[exp] = s
-            elif exp in acc:
-                del acc[exp]
-        return self._raw(self._lam, acc)
-
-    def __neg__(self) -> "TorusElement":
-        return self._raw(self._lam, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other) -> "TorusElement":
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "TorusElement":
-        if isinstance(other, TorusElement):
-            self._check_frame(other)
-            return self._mul_torus(other)
-        scalar = _coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        return self.scalar_mul(scalar)
-
-    def __rmul__(self, other) -> "TorusElement":
-        # scalars are central, so left and right scalar action agree
-        scalar = _coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        return self.scalar_mul(scalar)
-
     def scalar_mul(self, scalar: QLaurent | int) -> "TorusElement":
-        c = _coerce_scalar(scalar)
-        if not c:
-            return TorusElement.zero(self._lam)
-        return self._raw(
-            self._lam, {e: coeff * c for e, coeff in self._terms.items()}
-        )
+        return self._scaled(self._scalar(scalar))
 
-    def _mul_torus(self, other: "TorusElement") -> "TorusElement":
-        rows = self._lam.rows()
-        acc: dict[tuple[int, ...], QLaurent] = {}
-        for b, cb in other._terms.items():
-            # row-contracted form: Lambda(a, b) = sum_i a_i * lb[i]
-            lb = [sum(row[j] * bj for j, bj in enumerate(b) if bj) for row in rows]
-            for a, ca in self._terms.items():
-                w = sum(ai * lb[i] for i, ai in enumerate(a) if ai)
-                e = _vadd(a, b)
-                contrib = ca.mul_shifted(cb, w)
-                prev = acc.get(e)
-                s = contrib if prev is None else prev + contrib
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
-        return self._raw(self._lam, acc)
+    def _mul_into(self, acc: dict, left: dict, right: dict) -> None:
+        """Add the product of the term maps left * right into acc."""
+        rows = self._frame.rows()
+        for a, ca in left.items():
+            # Lambda(a, b) = sum_j la[j] * b_j with la = Lambda^T a = -Lambda a
+            la = [-sum(row[i] * ai for i, ai in enumerate(a) if ai) for row in rows]
+            products = []
+            for b, cb in right.items():
+                w = sum(bj * la[j] for j, bj in enumerate(b) if bj)
+                products.append((_vadd(a, b), ca.mul_shifted(cb, w)))
+            _add_into(acc, products)
 
-    def __pow__(self, n: int) -> "TorusElement":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are defined")
-        result = TorusElement.one(self._lam)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    @classmethod
-    def _raw(cls, lam, terms: dict) -> "TorusElement":
-        out = cls.__new__(cls)
-        out._lam = lam
-        out._terms = terms
-        return out
-
-    # -- division -----------------------------------------------------
+    def _lead_quotient(self, rc: QLaurent, cg: QLaurent, a, b, right: bool) -> QLaurent:
+        """c with (c X^a) * (cg X^b) == rc X^{a+b} (resp. the left product)."""
+        twist = self._frame.form(a, b) if right else self._frame.form(b, a)
+        try:
+            return rc.shift(-twist).exact_div(cg)
+        except NotDivisibleError:
+            raise NotDivisibleError(
+                "leading coefficient not divisible in Z[q^(1/2), q^(-1/2)]"
+            ) from None
 
     def exact_div_right(self, g: "TorusElement") -> "TorusElement":
         """Return h with h * g == self, or raise NotDivisibleError."""
@@ -326,63 +448,15 @@ class TorusElement:
         """Return h with g * h == self, or raise NotDivisibleError."""
         return self._exact_div(g, right=False)
 
-    def _exact_div(self, g: "TorusElement", right: bool) -> "TorusElement":
-        self._check_frame(g)
-        if not g:
-            raise ZeroDivisionError("torus division by zero")
-        if not self._terms:
-            return TorusElement.zero(self._lam)
-        m = self.m
-        f_lo, f_hi = _support_box(self._terms, m)
-        g_lo, g_hi = _support_box(g._terms, m)
-        lo = [fl - gl for fl, gl in zip(f_lo, g_lo)]
-        hi = [fh - gh for fh, gh in zip(f_hi, g_hi)]
-        if any(l > h for l, h in zip(lo, hi)):
-            raise NotDivisibleError("divisor support exceeds dividend support")
-        b, cg = g.leading()
-        lam = self._lam
-        rem = dict(self._terms)
-        quot: dict[tuple[int, ...], QLaurent] = {}
-        while rem:
-            t = max(rem, key=_grlex)
-            a = _vsub(t, b)
-            if any(x < l or x > h for x, l, h in zip(a, lo, hi)):
-                raise NotDivisibleError("leading term of remainder is not reducible")
-            twist = lam.form(a, b) if right else lam.form(b, a)
-            try:
-                c = rem[t].shift(-twist).exact_div(cg)
-            except NotDivisibleError:
-                raise NotDivisibleError(
-                    "leading coefficient not divisible in Z[q^(1/2), q^(-1/2)]"
-                ) from None
-            quot[a] = c
-            # subtract (c X^a) * g  (resp. g * (c X^a)) from the remainder
-            for e, ce in g._terms.items():
-                w = lam.form(a, e) if right else lam.form(e, a)
-                k = _vadd(a, e)
-                delta = c.mul_shifted(ce, w)
-                prev = rem.get(k)
-                s = -delta if prev is None else prev - delta
-                if s:
-                    rem[k] = s
-                elif k in rem:
-                    del rem[k]
-        return self._raw(self._lam, quot)
-
     # -- structure maps -----------------------------------------------
 
     def bar(self) -> "TorusElement":
         """Coefficientwise v -> v^(-1); basis monomials are fixed."""
-        return self._raw(self._lam, {e: c.bar() for e, c in self._terms.items()})
+        return self._raw(self._frame, {e: c.bar() for e, c in self._terms.items()})
 
     def specialize_q1(self) -> "CommLaurent":
         """The commutative shadow at q = 1."""
-        terms = {}
-        for e, c in self._terms.items():
-            n = c.eval_at_one()
-            if n:
-                terms[e] = n
-        return CommLaurent._raw(self.m, terms)
+        return CommLaurent(self.m, ((e, c.eval_at_one()) for e, c in self._terms.items()))
 
     def quasi_commutation(self, other: "TorusElement") -> int | None:
         """The integer t with self * other == q^t * other * self, or None.
@@ -393,8 +467,8 @@ class TorusElement:
         self._check_frame(other)
         if not self or not other:
             raise ValueError("quasi-commutation is undefined for zero elements")
-        p1 = self._mul_torus(other)
-        p2 = other._mul_torus(self)
+        p1 = self._product(other)
+        p2 = other._product(self)
         exp, c1 = p1.leading()
         c2 = p2._terms.get(exp)
         if c2 is None:
@@ -422,32 +496,9 @@ class TorusElement:
         """
         out = []
         for a in self.support():
-            w = reorder_weight(self._lam, a)
+            w = reorder_weight(self._frame, a)
             out.append((a, self._terms[a].shift(w)))
         return out
-
-    # -- comparison / serialization ------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TorusElement):
-            return NotImplemented
-        return self._lam == other._lam and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self._lam, frozenset(self._terms.items())))
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"exp": list(e), "coeff": self._terms[e].to_json()}
-            for e in self.support()
-        ]
-
-    @classmethod
-    def from_json(cls, lam: SkewMatrix, records: Iterable[Mapping]) -> "TorusElement":
-        return cls(
-            lam,
-            [(tuple(r["exp"]), QLaurent.from_json(r["coeff"])) for r in records],
-        )
 
     def __str__(self) -> str:
         if not self._terms:
@@ -466,213 +517,61 @@ class TorusElement:
                 parts.append(f"({c})*{mono}")
         return " + ".join(parts)
 
-    def __repr__(self) -> str:
-        return f"TorusElement({self})"
 
-
-class CommLaurent:
+class CommLaurent(_SparseLaurent):
     """A commutative Laurent polynomial in m variables over the integers."""
 
-    __slots__ = ("_m", "_terms")
+    __slots__ = ()
+    _NAME = "polynomial"
+    _RING = "Laurent"
+    _MISMATCH = (ValueError, "mixed variable counts")
+    _coeff_to_json = str
+    _coeff_from_json = int
 
-    def __init__(
-        self,
-        m: int,
-        terms: Mapping[tuple[int, ...], int]
-        | Iterable[tuple[tuple[int, ...], int]] = (),
-    ):
+    # Bound here for the benchmark tracer, as in TorusElement.
+    __mul__ = _SparseLaurent.__mul__
+    __pow__ = _SparseLaurent.__pow__
+    __eq__ = _SparseLaurent.__eq__
+    __hash__ = _SparseLaurent.__hash__
+    to_json = _SparseLaurent.to_json
+    __radd__ = _SparseLaurent.__add__
+
+    @staticmethod
+    def _width(m: int) -> int:
         if m < 1:
             raise ValueError("need at least one variable")
-        self._m = m
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, ...], int] = {}
-        for exp, coeff in items:
-            exp = tuple(int(x) for x in exp)
-            if len(exp) != m:
-                raise ValueError(f"exponent {exp} has length {len(exp)}, expected {m}")
-            if coeff:
-                s = acc.get(exp, 0) + coeff
-                if s:
-                    acc[exp] = s
-                elif exp in acc:
-                    del acc[exp]
-        self._terms = acc
+        return m
 
-    @classmethod
-    def _raw(cls, m: int, terms: dict) -> "CommLaurent":
-        out = cls.__new__(cls)
-        out._m = m
-        out._terms = terms
-        return out
-
-    @classmethod
-    def zero(cls, m: int) -> "CommLaurent":
-        return cls(m)
-
-    @classmethod
-    def one(cls, m: int) -> "CommLaurent":
-        return cls(m, {(0,) * m: 1})
+    @staticmethod
+    def _scalar(value) -> int | None:
+        return value if isinstance(value, int) else None
 
     @classmethod
     def constant(cls, m: int, n: int) -> "CommLaurent":
         return cls(m, {(0,) * m: n})
 
-    @classmethod
-    def monomial(cls, m: int, exp: Sequence[int], coeff: int = 1) -> "CommLaurent":
-        return cls(m, {tuple(exp): coeff})
-
-    @classmethod
-    def generator(cls, m: int, i: int) -> "CommLaurent":
-        if not 0 <= i < m:
-            raise ValueError(f"generator index {i} out of range for m={m}")
-        e = [0] * m
-        e[i] = 1
-        return cls(m, {tuple(e): 1})
-
-    @property
-    def m(self) -> int:
-        return self._m
-
-    def items(self):
-        return self._terms.items()
-
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self._terms, key=_grlex)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def coefficient(self, exp: Sequence[int]) -> int:
-        return self._terms.get(tuple(exp), 0)
-
-    def min_exponents(self) -> tuple[int, ...]:
-        if not self._terms:
-            raise ValueError("zero polynomial has no support")
-        lo, _ = _support_box(self._terms, self._m)
-        return tuple(lo)
-
-    def _check_m(self, other: "CommLaurent") -> None:
-        if self._m != other._m:
-            raise ValueError("mixed variable counts")
-
-    def __add__(self, other) -> "CommLaurent":
+    def _operand(self, other):
         if isinstance(other, int):
-            other = CommLaurent.constant(self._m, other)
-        if not isinstance(other, CommLaurent):
-            return NotImplemented
-        self._check_m(other)
-        acc = dict(self._terms)
-        for e, c in other._terms.items():
-            s = acc.get(e, 0) + c
-            if s:
-                acc[e] = s
-            elif e in acc:
-                del acc[e]
-        return self._raw(self._m, acc)
+            return CommLaurent.constant(self._frame, other)
+        return other if isinstance(other, CommLaurent) else None
 
-    __radd__ = __add__
+    def _mul_into(self, acc: dict, left: dict, right: dict) -> None:
+        """Add the product of the term maps left * right into acc."""
+        for a, ca in left.items():
+            _add_into(acc, [(_vadd(a, b), ca * cb) for b, cb in right.items()])
 
-    def __neg__(self) -> "CommLaurent":
-        return self._raw(self._m, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other) -> "CommLaurent":
-        if isinstance(other, int):
-            other = CommLaurent.constant(self._m, other)
-        if not isinstance(other, CommLaurent):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "CommLaurent":
-        if isinstance(other, int):
-            if not other:
-                return CommLaurent.zero(self._m)
-            return self._raw(self._m, {e: c * other for e, c in self._terms.items()})
-        if not isinstance(other, CommLaurent):
-            return NotImplemented
-        self._check_m(other)
-        acc: dict[tuple[int, ...], int] = {}
-        for a, ca in self._terms.items():
-            for b, cb in other._terms.items():
-                e = _vadd(a, b)
-                s = acc.get(e, 0) + ca * cb
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
-        return self._raw(self._m, acc)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "CommLaurent":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are defined")
-        result = CommLaurent.one(self._m)
-        base = self
-        for _ in range(n):
-            result = result * base
-        return result
+    @staticmethod
+    def _lead_quotient(rc: int, cg: int, a, b, right: bool) -> int:
+        c, leftover = divmod(rc, cg)
+        if leftover:
+            raise NotDivisibleError(f"leading coefficient {rc} not divisible by {cg}")
+        return c
 
     def exact_div(self, g: "CommLaurent") -> "CommLaurent":
         """Return h with h * g == self, or raise NotDivisibleError."""
         if isinstance(g, int):
-            g = CommLaurent.constant(self._m, g)
-        self._check_m(g)
-        if not g:
-            raise ZeroDivisionError("Laurent division by zero")
-        if not self._terms:
-            return CommLaurent.zero(self._m)
-        m = self._m
-        f_lo, f_hi = _support_box(self._terms, m)
-        g_lo, g_hi = _support_box(g._terms, m)
-        lo = [fl - gl for fl, gl in zip(f_lo, g_lo)]
-        hi = [fh - gh for fh, gh in zip(f_hi, g_hi)]
-        if any(l > h for l, h in zip(lo, hi)):
-            raise NotDivisibleError("divisor support exceeds dividend support")
-        b = max(g._terms, key=_grlex)
-        cg = g._terms[b]
-        rem = dict(self._terms)
-        quot: dict[tuple[int, ...], int] = {}
-        while rem:
-            t = max(rem, key=_grlex)
-            a = _vsub(t, b)
-            if any(x < l or x > h for x, l, h in zip(a, lo, hi)):
-                raise NotDivisibleError("leading term of remainder is not reducible")
-            c, leftover = divmod(rem[t], cg)
-            if leftover:
-                raise NotDivisibleError(
-                    f"leading coefficient {rem[t]} not divisible by {cg}"
-                )
-            quot[a] = c
-            for e, ce in g._terms.items():
-                k = _vadd(a, e)
-                s = rem.get(k, 0) - c * ce
-                if s:
-                    rem[k] = s
-                elif k in rem:
-                    del rem[k]
-        return self._raw(self._m, quot)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = CommLaurent.constant(self._m, other)
-        if not isinstance(other, CommLaurent):
-            return NotImplemented
-        return self._m == other._m and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self._m, frozenset(self._terms.items())))
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"exp": list(e), "coeff": str(self._terms[e])} for e in self.support()
-        ]
-
-    @classmethod
-    def from_json(cls, m: int, records: Iterable[Mapping]) -> "CommLaurent":
-        return cls(m, [(tuple(r["exp"]), int(r["coeff"])) for r in records])
+            g = CommLaurent.constant(self._frame, g)
+        return self._exact_div(g, right=True)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -697,6 +596,3 @@ class CommLaurent:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"CommLaurent({self})"

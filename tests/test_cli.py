@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface via main(argv)."""
 
+import hashlib
 import json
 
 import pytest
@@ -132,6 +133,27 @@ def test_non_integer_seed_file_exits_2(capsys, tmp_path, verb, patch):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "parse_error"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"m": 2, "n": 1, "ex": [0], "B": [[0], [1]]},
+        {"m": 2, "n": 1, "ex": [3], "B": [[0], [1]]},
+        {**A2Q, "ex": [0, 1]},
+        {**A2Q, "ex": [1, 3]},
+        {**A2Q, "ex": [2, 1]},
+    ],
+    ids=repr,
+)
+def test_ex_out_of_range_quotes_1_based_bounds(capsys, tmp_path, obj):
+    path = write_json(tmp_path, "bad.json", obj)
+    code, out, err = run(capsys, ["check", path])
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "parse_error"
+    assert payload["message"] == "ex must be sorted within [1, 2]"
 
 
 # -- mutate --------------------------------------------------------------
@@ -279,6 +301,17 @@ def test_principal_lambda_a2_full_seed_round_trips(capsys, tmp_path):
     code2, out2, err2 = run(capsys, ["check", seed_path])
     assert code2 == 0
     assert json.loads(out2)["ok"] is True
+
+
+# sha256 of the exact stdout bytes of `principal-lambda --full-seed` for A2
+A2_FULL_SEED_SHA256 = "ed8f28b8503a13efdaafa3aa83c674c72ac18b9c70497dee41b75111057972c2"
+
+
+def test_principal_lambda_a2_full_seed_bytes_pinned(capsys, tmp_path):
+    path = write_json(tmp_path, "b2.json", {"B": [[0, 1], [-1, 0]]})
+    code, out, err = run(capsys, ["principal-lambda", path, "--full-seed"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == A2_FULL_SEED_SHA256
 
 
 def test_principal_lambda_bad_d_exits_1(capsys, tmp_path):

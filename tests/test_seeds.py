@@ -389,6 +389,26 @@ def test_seed_json_rejects_non_integers():
             load_seed({"m": 2, "n": 2, "B": A2_ROWS, **patch})
 
 
+CONSTRUCTORS = {
+    "ExchangeMatrix rows": lambda x: ExchangeMatrix([[0, x], [-1, 0]]),
+    "ExchangeMatrix ex": lambda x: ExchangeMatrix(A2_ROWS, ex=[0, x]),
+    "SkewMatrix": lambda x: SkewMatrix([[0, x], [-1, 0]]),
+    "find_skew_symmetrizer": lambda x: find_skew_symmetrizer([[0, x], [-1, 0]]),
+    "principal_lambda rows": lambda x: principal_lambda([[0, x], [-1, 0]]),
+    "principal_lambda D": lambda x: principal_lambda(A2_ROWS, d=[1, x]),
+    "CommLaurent exponent": lambda x: CommLaurent(2, {(x, 0): 1}),
+    "TorusElement exponent": lambda x: TorusElement(L2, {(x, 0): 1}),
+}
+
+
+@pytest.mark.parametrize("bad", [1.7, True, "1"], ids=repr)
+@pytest.mark.parametrize("where", sorted(CONSTRUCTORS))
+def test_python_constructors_reject_non_integers(where, bad):
+    # each would read 1 (or fail later for a different reason) under int()
+    with pytest.raises(ValueError, match="must hold integers"):
+        CONSTRUCTORS[where](bad)
+
+
 def test_seed_validation():
     b = ExchangeMatrix(A2_ROWS)
     with pytest.raises(ValueError):

@@ -164,6 +164,8 @@ def test_division_errors():
     with pytest.raises(ZeroDivisionError):
         f.exact_div_right(TorusElement.zero(L2))
     assert TorusElement.zero(L2).exact_div_right(f) == TorusElement.zero(L2)
+    with pytest.raises(TypeError):
+        f.exact_div_left(CommLaurent.one(2))
 
 
 def test_division_by_monomial_always_works():
@@ -266,6 +268,8 @@ def test_comm_exact_div():
         (x1 + 1).exact_div(CommLaurent.constant(2, 2))
     with pytest.raises(ZeroDivisionError):
         x1.exact_div(CommLaurent.zero(2))
+    with pytest.raises(TypeError):
+        x1.exact_div(QLaurent.one())
 
 
 def test_comm_division_round_trip_random():
@@ -312,3 +316,58 @@ def test_comm_json_and_str():
     assert CommLaurent.from_json(2, data) == f
     assert str(CommLaurent.zero(2)) == "0"
     assert str(f) == "x1^-1 - 3*x2^2"
+
+
+# -- the shared kernel -------------------------------------------------
+
+
+def _integer_pair(rng, lam):
+    terms = [
+        (random_vector(rng, lam.m, 2), rng.randint(-4, 4))
+        for _ in range(rng.randint(1, 3))
+    ]
+    return TorusElement(lam, terms), CommLaurent(lam.m, terms)
+
+
+def _quotient_or_none(divide, g):
+    try:
+        return divide(g)
+    except NotDivisibleError:
+        return None
+
+
+def test_zero_frame_torus_is_comm_laurent():
+    # over Lambda = 0 with integer coefficients the two rings coincide
+    rng = random.Random(53)
+    for _ in range(150):
+        m = rng.randint(1, 3)
+        lam = SkewMatrix([[0] * m for _ in range(m)])
+        (f, cf), (g, cg) = _integer_pair(rng, lam), _integer_pair(rng, lam)
+        assert f.specialize_q1() == cf
+        assert (f + g).specialize_q1() == cf + cg
+        assert (f - g).specialize_q1() == cf - cg
+        assert (f * g).specialize_q1() == cf * cg
+        n = rng.randint(0, 3)
+        assert (f**n).specialize_q1() == cf**n
+        if not g:
+            continue
+        for num, cnum in ((f * g, cf * cg), (f, cf)):
+            want = _quotient_or_none(cnum.exact_div, cg)
+            for divide in (num.exact_div_right, num.exact_div_left):
+                got = _quotient_or_none(divide, g)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.specialize_q1() == want
+
+
+def test_equal_elements_hash_equal():
+    x1, x2 = gens(L2)
+    a = x1 * x2 + x1
+    b = TorusElement(L2, [((1, 0), 1), ((1, 1), QLaurent.v_power(1))])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, TorusElement.generator(SkewMatrix([[0, 2], [-2, 0]]), 0)}) == 2
+    y1, y2 = CommLaurent.generator(2, 0), CommLaurent.generator(2, 1)
+    c = y1 * y2 + 1
+    d = CommLaurent(2, {(0, 0): 1, (1, 1): 1})
+    assert c == d and hash(c) == hash(d)
+    assert len({c, d, CommLaurent.one(3)}) == 2
