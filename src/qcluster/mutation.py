@@ -33,6 +33,7 @@ from .qlaurent import QLaurent
 from .seeds import (
     ClassicalSeed,
     QuantumSeed,
+    _exchange_exponents,
     check_compatibility,
     lambda_mutate,
     matrix_mutate,
@@ -43,17 +44,13 @@ from .torus import CommLaurent, TorusElement, reorder_weight
 def classical_mutate(seed: ClassicalSeed, k: int) -> ClassicalSeed:
     """Mutate a classical seed in direction k (a row index in ex)."""
     b = seed.b
-    p = b.position(k)
-    m = b.m
-    pos = CommLaurent.one(m)
-    neg = CommLaurent.one(m)
-    for i in range(m):
-        e = b.entry(i, p)
-        if e > 0:
-            pos = pos * seed.vars[i] ** e
-        elif e < 0:
-            neg = neg * seed.vars[i] ** (-e)
-    num = pos + neg
+    num = None
+    for g in _exchange_exponents(b, k):
+        prod = CommLaurent.one(b.m)
+        for i, gi in enumerate(g):
+            if gi:
+                prod = prod * seed.vars[i] ** gi
+        num = prod if num is None else num + prod
     try:
         new_var = num.exact_div(seed.vars[k])
     except NotDivisibleError as exc:
@@ -73,24 +70,15 @@ def quantum_mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
     """Mutate a quantum seed in direction k (a row index in ex)."""
     b = seed.b
     lam = seed.lam
-    p = b.position(k)
-    m = b.m
-    g_pos = [0] * m
-    g_neg = [0] * m
-    for i in range(m):
-        e = b.entry(i, p)
-        if e > 0:
-            g_pos[i] = e
-        elif e < 0:
-            g_neg[i] = -e
-    e_k = [0] * m
+    g_pos, g_neg = _exchange_exponents(b, k)
+    e_k = [0] * b.m
     e_k[k] = 1
     num = None
     for g in (g_pos, g_neg):
         prod = TorusElement.one(seed.vars[0].lam)
-        for i in range(m):
-            if g[i]:
-                prod = prod * seed.vars[i] ** g[i]
+        for i, gi in enumerate(g):
+            if gi:
+                prod = prod * seed.vars[i] ** gi
         shift = reorder_weight(lam, g) + lam.form(g, e_k)
         term = prod.scalar_mul(QLaurent.v_power(shift))
         num = term if num is None else num + term

@@ -29,11 +29,22 @@ class QLaurent:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, int] = {}
         for exp, coeff in items:
+            if type(exp) is not int or type(coeff) is not int:
+                raise ValueError(
+                    f"QLaurent terms must hold integers, got {exp!r}: {coeff!r}"
+                )
             if coeff:
                 acc[exp] = acc.get(exp, 0) + coeff
                 if not acc[exp]:
                     del acc[exp]
         self._terms = acc
+
+    @staticmethod
+    def _raw(terms: dict[int, int]) -> "QLaurent":
+        """Wrap an already canonical term map (no zero coefficients)."""
+        out = QLaurent.__new__(QLaurent)
+        out._terms = terms
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -107,16 +118,12 @@ class QLaurent:
                 acc[exp] = s
             elif exp in acc:
                 del acc[exp]
-        out = QLaurent.__new__(QLaurent)
-        out._terms = acc
-        return out
+        return QLaurent._raw(acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QLaurent":
-        out = QLaurent.__new__(QLaurent)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return QLaurent._raw({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "QLaurent":
         o = self._coerce(other)
@@ -143,9 +150,7 @@ class QLaurent:
                     acc[e] = s
                 elif e in acc:
                     del acc[e]
-        out = QLaurent.__new__(QLaurent)
-        out._terms = acc
-        return out
+        return QLaurent._raw(acc)
 
     __rmul__ = __mul__
 
@@ -161,15 +166,11 @@ class QLaurent:
                     acc[e] = s
                 elif e in acc:
                     del acc[e]
-        out = QLaurent.__new__(QLaurent)
-        out._terms = acc
-        return out
+        return QLaurent._raw(acc)
 
     def shift(self, exp: int) -> "QLaurent":
         """Multiply by the unit v^exp."""
-        out = QLaurent.__new__(QLaurent)
-        out._terms = {e + exp: c for e, c in self._terms.items()}
-        return out
+        return QLaurent._raw({e + exp: c for e, c in self._terms.items()})
 
     def exact_div(self, other) -> "QLaurent":
         """Return h with h * other == self, or raise NotDivisibleError.
@@ -212,15 +213,11 @@ class QLaurent:
                     rem[k] = s
                 elif k in rem:
                     del rem[k]
-        out = QLaurent.__new__(QLaurent)
-        out._terms = quot
-        return out
+        return QLaurent._raw(quot)
 
     def bar(self) -> "QLaurent":
         """The involution v -> v^(-1) (exponentwise negation)."""
-        out = QLaurent.__new__(QLaurent)
-        out._terms = {-e: c for e, c in self._terms.items()}
-        return out
+        return QLaurent._raw({-e: c for e, c in self._terms.items()})
 
     def eval_at_one(self) -> int:
         """Specialize q = 1: the sum of all coefficients."""

@@ -15,12 +15,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import IncompatibleError, NotSymmetrizableError
 from .torus import CommLaurent, SkewMatrix, TorusElement, _int_tuple
+
+
+def _check_symmetrizer(rows, d, what: str) -> None:
+    """Raise NotSymmetrizableError unless d_i b_ij = -d_j b_ji everywhere."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            if d[i] * rows[i][j] != -d[j] * rows[j][i]:
+                raise NotSymmetrizableError(f"{what} at ({i}, {j})")
 
 
 def find_skew_symmetrizer(b) -> tuple[int, ...]:
@@ -50,12 +58,16 @@ def find_skew_symmetrizer(b) -> tuple[int, ...]:
                 raise NotSymmetrizableError(
                     f"sign pattern at ({i}, {j}) admits no positive symmetrizer"
                 )
-    ratio: list[Fraction | None] = [None] * n
     d = [0] * n
     for root in range(n):
-        if ratio[root] is not None:
+        if d[root]:
             continue
-        ratio[root] = Fraction(1)
+        # walk the component in integers, d_j = d_i |b_ij| / |b_ji| along
+        # each edge; when that leaves Z, scale the whole component by the
+        # least factor that keeps it integral.  Each such scale s is coprime
+        # to the new entry, so the component keeps gcd 1 from d_root = 1 on
+        # and the result is already minimal.
+        d[root] = 1
         component = [root]
         stack = [root]
         while stack:
@@ -63,28 +75,21 @@ def find_skew_symmetrizer(b) -> tuple[int, ...]:
             for j in range(n):
                 if rows[i][j] == 0:
                     continue
-                r = ratio[i] * Fraction(-rows[i][j], rows[j][i])
-                if ratio[j] is None:
-                    ratio[j] = r
+                num, den = d[i] * abs(rows[i][j]), abs(rows[j][i])
+                if not d[j]:
+                    if num % den:
+                        scale = den // gcd(num, den)
+                        for c in component:
+                            d[c] *= scale
+                        num *= scale
+                    d[j] = num // den
                     component.append(j)
                     stack.append(j)
-                elif ratio[j] != r:
+                elif d[j] * den != num:
                     raise NotSymmetrizableError(
                         f"inconsistent ratio around edge ({i}, {j})"
                     )
-        scale = 1
-        for c in component:
-            scale = lcm(scale, ratio[c].denominator)
-        vals = [int(ratio[c] * scale) for c in component]
-        g = 0
-        for v in vals:
-            g = gcd(g, v)
-        for c, v in zip(component, vals):
-            d[c] = v // g
-    for i in range(n):
-        for j in range(n):
-            if d[i] * rows[i][j] != -d[j] * rows[j][i]:
-                raise NotSymmetrizableError(f"no symmetrizer: check failed at ({i}, {j})")
+    _check_symmetrizer(rows, d, "no symmetrizer: check failed")
     return tuple(d)
 
 
@@ -119,8 +124,7 @@ class ExchangeMatrix:
             raise ValueError(f"ex must be sorted within [0, {m})")
         self._rows = tup
         self._ex = exs
-        principal = tuple(tuple(tup[k][j] for j in range(n)) for k in exs)
-        self._d = find_skew_symmetrizer(principal)
+        self._d = find_skew_symmetrizer(self)
 
     @property
     def m(self) -> int:
@@ -228,36 +232,42 @@ def check_compatibility(b: ExchangeMatrix, lam: SkewMatrix) -> tuple[int, ...]:
     return tuple(d)
 
 
+def _exchange_exponents(b: ExchangeMatrix, k: int) -> tuple[list[int], list[int]]:
+    """Positive and negative parts of the column of direction k, each of length m.
+
+    k is a row index in ex.  The parts, max(b_ik, 0) and max(-b_ik, 0) over
+    the rows i, are the exponents g of the two exchange monomials X^{g - e_k}.
+    """
+    p = b.position(k)
+    col = [row[p] for row in b.rows()]
+    return [max(e, 0) for e in col], [max(-e, 0) for e in col]
+
+
 def lambda_mutate(
     lam: SkewMatrix, b: ExchangeMatrix, k: int, positive: bool = True
 ) -> SkewMatrix:
     """Transport the frame through mutation in direction k.
 
-    Applies the basis change E^T lam E whose k-th column is the exponent
-    of one exchange monomial: -e_k plus the positive part of column k
-    (positive=True, the default) or minus the negative part.  The two
-    choices agree whenever (lam, b) is a compatible pair; the tests
-    assert that rather than assume it.
+    The new frame is E^T lam E, where E is the identity but for its k-th
+    column c, the exponent of one exchange monomial: -e_k plus the
+    positive part of column k (positive=True, the default) or its
+    negative part (see _exchange_exponents).  Only row and column k
+    change: lam'_ik = sum_t lam_it c_t = -lam'_ki.  The two choices
+    agree whenever (lam, b) is a compatible pair; the tests assert that
+    rather than assume it.
     """
-    p = b.position(k)
+    g_pos, g_neg = _exchange_exponents(b, k)
     m = lam.m
     if b.m != m:
         raise ValueError(f"matrix sizes disagree: {b.m} vs {m}")
-    columns = []
-    for j in range(m):
-        col = [0] * m
-        col[j] = 1
-        columns.append(col)
-    ck = [0] * m
-    ck[k] = -1
-    for i in range(m):
-        e = b.entry(i, p)
-        if positive and e > 0:
-            ck[i] += e
-        elif not positive and e < 0:
-            ck[i] -= e
-    columns[k] = ck
-    return lam.transform(columns)
+    c = g_pos if positive else g_neg
+    c[k] -= 1
+    rows = [list(row) for row in lam.rows()]
+    for i, row in enumerate(lam.rows()):
+        if i != k:
+            rows[i][k] = sum(x * ct for x, ct in zip(row, c) if ct)
+            rows[k][i] = -rows[i][k]
+    return SkewMatrix(rows)
 
 
 def principal_lambda(
@@ -283,12 +293,7 @@ def principal_lambda(
         dd = _int_tuple(d, "D")
         if len(dd) != n or any(x <= 0 for x in dd):
             raise ValueError(f"D must be {n} positive integers")
-        for i in range(n):
-            for j in range(n):
-                if dd[i] * rows[i][j] != -dd[j] * rows[j][i]:
-                    raise NotSymmetrizableError(
-                        f"D does not skew-symmetrize B at ({i}, {j})"
-                    )
+        _check_symmetrizer(rows, dd, "D does not skew-symmetrize B")
     if lambda0 is None:
         l0 = tuple((0,) * n for _ in range(n))
     elif isinstance(lambda0, SkewMatrix):

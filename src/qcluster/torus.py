@@ -401,7 +401,7 @@ class TorusElement(_SparseLaurent):
     def _scalar(value) -> QLaurent | None:
         if isinstance(value, QLaurent):
             return value
-        if isinstance(value, int):
+        if type(value) is int:
             return QLaurent.from_int(value)
         return None
 
@@ -416,7 +416,10 @@ class TorusElement(_SparseLaurent):
         return len(self._terms) == 1
 
     def scalar_mul(self, scalar: QLaurent | int) -> "TorusElement":
-        return self._scaled(self._scalar(scalar))
+        c = self._scalar(scalar)
+        if c is None:
+            raise TypeError(f"bad coefficient type {type(scalar).__name__}")
+        return self._scaled(c)
 
     def _mul_into(self, acc: dict, left: dict, right: dict) -> None:
         """Add the product of the term maps left * right into acc."""
@@ -544,7 +547,7 @@ class CommLaurent(_SparseLaurent):
 
     @staticmethod
     def _scalar(value) -> int | None:
-        return value if isinstance(value, int) else None
+        return value if type(value) is int else None
 
     @classmethod
     def constant(cls, m: int, n: int) -> "CommLaurent":

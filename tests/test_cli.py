@@ -397,3 +397,102 @@ def test_mutate_incomplete_report_exits_1(capsys, monkeypatch, a2_file):
     payload = json.loads(err)
     assert payload["error"] == "not_divisible"
     assert payload["direction"] == 1
+
+
+# -- golden bytes ----------------------------------------------------------
+
+# Small seed files for the golden test: classical A2, B2 and G2, the
+# principal quantum A2 and B2 seeds, the Kronecker matrix with one frozen
+# row, and one malformed or failing input per non-zero exit code.
+GOLDEN_FILES = {
+    "a2": {"m": 2, "n": 2, "B": [[0, 1], [-1, 0]]},
+    "b2": {"m": 2, "n": 2, "B": [[0, 1], [-2, 0]]},
+    "g2": {"m": 2, "n": 2, "B": [[0, 1], [-3, 0]]},
+    "a2q": {
+        "m": 4,
+        "n": 2,
+        "B": [[0, 1], [-1, 0], [1, 0], [0, 1]],
+        "Lambda": [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 1, 0]],
+    },
+    "b2q": {
+        "m": 4,
+        "n": 2,
+        "B": [[0, 1], [-2, 0], [1, 0], [0, 1]],
+        "Lambda": [[0, 0, -2, 0], [0, 0, 0, -1], [2, 0, 0, -2], [0, 1, 2, 0]],
+    },
+    "kron": {"m": 3, "n": 2, "B": [[0, 2], [-2, 0], [1, -1]]},
+    "nosym": {"m": 2, "n": 2, "B": [[0, 1], [1, 0]]},
+    "cycle": {"m": 3, "n": 3, "B": [[0, 1, -2], [-2, 0, 1], [1, -1, 0]]},
+    "incompat": {"m": 2, "n": 2, "B": [[0, 1], [-1, 0]], "Lambda": [[0, 0], [0, 0]]},
+    "badlam": {"m": 2, "n": 2, "B": [[0, 1], [-1, 0]], "Lambda": 5},
+    "pl_a2": {"B": [[0, 1], [-1, 0]]},
+    "pl_b2": {"B": [[0, 1], [-2, 0]]},
+    "pl_g2d": {"B": [[0, 1], [-3, 0]], "D": [6, 2]},
+    "pl_b2l0": {"B": [[0, 1], [-2, 0]], "Lambda0": [[0, 3], [-3, 0]]},
+    "pl_badd": {"B": [[0, 1], [-1, 0]], "D": [1, 3]},
+    "pl_float": {"B": [[0, 1.5], [-1, 0]]},
+}
+
+# (verb, file, extra arguments, exit code)
+GOLDEN_RUNS = [
+    ("check", "a2", [], 0),
+    ("check", "b2", [], 0),
+    ("check", "g2", ["--format", "text"], 0),
+    ("check", "a2q", [], 0),
+    ("check", "b2q", ["--format", "text"], 0),
+    ("check", "kron", [], 0),
+    ("check", "nosym", [], 1),
+    ("check", "cycle", [], 1),
+    ("check", "incompat", [], 1),
+    ("check", "badlam", [], 2),
+    ("mutate", "a2", ["--at", "1,2,1"], 0),
+    ("mutate", "b2", ["--at", "1,2", "--full"], 0),
+    ("mutate", "g2", ["--at", "1,2,1,2", "--format", "text"], 0),
+    ("mutate", "a2q", ["--at", "1,2", "--full"], 0),
+    ("mutate", "b2q", ["--at", "2,1,2", "--format", "text"], 0),
+    ("mutate", "kron", ["--at", "1,2,1", "--full"], 0),
+    ("mutate", "a2q", ["--at", "3"], 2),
+    ("explore", "a2", [], 0),
+    ("explore", "b2", ["--format", "dot"], 0),
+    ("explore", "g2", ["--format", "text"], 0),
+    ("explore", "g2", ["--full"], 0),
+    ("explore", "a2q", ["--full"], 0),
+    ("explore", "b2q", [], 0),
+    ("explore", "b2q", ["--format", "dot"], 0),
+    ("explore", "kron", ["--max-depth", "4", "--full"], 0),
+    ("explore", "kron", ["--max-depth", "4", "--format", "dot"], 0),
+    ("explore", "kron", ["--max-depth", "4", "--format", "text"], 0),
+    ("explore", "nosym", [], 1),
+    ("specialize", "a2q", [], 0),
+    ("specialize", "b2q", ["--full"], 0),
+    ("specialize", "b2q", ["--full", "--format", "text"], 0),
+    ("specialize", "a2", [], 2),
+    ("principal-lambda", "pl_a2", [], 0),
+    ("principal-lambda", "pl_b2", ["--full-seed"], 0),
+    ("principal-lambda", "pl_g2d", ["--format", "text"], 0),
+    ("principal-lambda", "pl_b2l0", ["--full-seed"], 0),
+    ("principal-lambda", "pl_badd", [], 1),
+    ("principal-lambda", "pl_float", [], 2),
+]
+
+# sha256 of each verb's stdout, concatenated in GOLDEN_RUNS order
+GOLDEN_SHA256 = {
+    "check": "be29331450bd623eff57437c3bc429df4769e69f237efa705e4c5146c2c9b4b7",
+    "mutate": "46e40e74912765dc7c64aefc067fcbdb274cba7f19795ab12f3da81af9309eef",
+    "explore": "5ed46b5652c217835ebf43382dce58064e462e6b396b6b988c0540d679ce5291",
+    "specialize": "94ef561b6a716dbb7b5b03be11f6d5c08d86bd55da211f00b8e55516b974be6b",
+    "principal-lambda": "b3a3e5d4c6e8ef9cdffcea1611b667af6e188b93d006ed139cedf4ca71e337d0",
+}
+
+
+def test_golden_cli_bytes(capsys, tmp_path):
+    paths = {name: write_json(tmp_path, f"{name}.json", obj)
+             for name, obj in GOLDEN_FILES.items()}
+    stdout = dict.fromkeys(GOLDEN_SHA256, "")
+    for verb, name, extra, expected in GOLDEN_RUNS:
+        code, out, err = run(capsys, [verb, paths[name], *extra])
+        assert code == expected, (verb, name, extra, err)
+        stdout[verb] += out
+    digests = {verb: hashlib.sha256(out.encode()).hexdigest()
+               for verb, out in stdout.items()}
+    assert digests == GOLDEN_SHA256

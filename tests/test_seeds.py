@@ -1,5 +1,6 @@
 """Exchange matrices, symmetrizers, compatibility, frames, seed I/O."""
 
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from qcluster import (
     ExchangeMatrix,
     IncompatibleError,
     NotSymmetrizableError,
+    QLaurent,
     QuantumSeed,
     SkewMatrix,
     TorusElement,
@@ -32,7 +34,7 @@ from helpers import (
     random_skew,
     random_skew_symmetrizable,
 )
-from oracles import ref_transform
+from oracles import ref_skew_symmetrizer, ref_transform
 
 L2 = SkewMatrix([[0, 1], [-1, 0]])
 
@@ -63,16 +65,44 @@ def test_symmetrizer_components_scale_independently():
     assert find_skew_symmetrizer(rows) == (2, 1, 1, 3)
 
 
-def test_symmetrizer_failures():
-    with pytest.raises(NotSymmetrizableError):
-        find_skew_symmetrizer([[0, 1], [1, 0]])
-    with pytest.raises(NotSymmetrizableError):
-        find_skew_symmetrizer([[0, 1], [0, 0]])
-    with pytest.raises(NotSymmetrizableError):
-        find_skew_symmetrizer([[1]])
+SYMMETRIZER_FAILURES = [
+    [[0, 1], [1, 0]],
+    [[0, 1], [0, 0]],
+    [[1]],
     # consistent pairwise signs but inconsistent cycle ratios
-    with pytest.raises(NotSymmetrizableError):
-        find_skew_symmetrizer([[0, 1, -2], [-2, 0, 1], [1, -1, 0]])
+    [[0, 1, -2], [-2, 0, 1], [1, -1, 0]],
+    # the walk rescales its component before it meets the bad edge
+    [[0, 1, 0, -2], [-2, 0, 1, 0], [0, -3, 0, 1], [1, 0, -1, 0]],
+]
+
+
+def test_symmetrizer_failures():
+    for rows in SYMMETRIZER_FAILURES:
+        with pytest.raises(NotSymmetrizableError) as ref:
+            ref_skew_symmetrizer(rows)
+        with pytest.raises(NotSymmetrizableError) as got:
+            find_skew_symmetrizer(rows)
+        assert str(got.value) == str(ref.value)
+
+
+def _components(rows):
+    """Connected components of the nonzero pattern, as lists of indices."""
+    seen = set()
+    out = []
+    for root in range(len(rows)):
+        if root in seen:
+            continue
+        comp, stack = [], [root]
+        seen.add(root)
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j, x in enumerate(rows[i]):
+                if x and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        out.append(comp)
+    return out
 
 
 def test_symmetrizer_random_generated():
@@ -85,6 +115,35 @@ def test_symmetrizer_random_generated():
         for i in range(n):
             for j in range(n):
                 assert d[i] * rows[i][j] == -d[j] * rows[j][i]
+        # minimal: gcd 1 on each component, which is what the oracle returns
+        for comp in _components(rows):
+            assert math.gcd(*(d[i] for i in comp)) == 1
+        assert d == ref_skew_symmetrizer(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, -1, 0, 1, 0], [0, 0, -1, 0, 1],
+         [0, 0, 0, -1, 0]],
+        [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]],
+        [[0, 1, 0, 0], [-1, 0, 2, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
+        [[0, 1], [-3, 0]],
+        [[0, 2], [-2, 0]],
+        [[0, 1], [-4, 0]],
+    ],
+    ids=["A5", "D4", "F4", "G2", "kronecker", "kronecker-4"],
+)
+def test_symmetrizer_matches_oracle_along_mutation_walks(rows):
+    rng = random.Random(11)
+    n = len(rows)
+    for _ in range(10):
+        # relabel, so the integer walk starts from different roots
+        perm = rng.sample(range(n), n)
+        b = ExchangeMatrix([[rows[i][j] for j in perm] for i in perm])
+        for _ in range(30):
+            assert b.d == ref_skew_symmetrizer(b.principal())
+            b = matrix_mutate(b, rng.randrange(n))
 
 
 # -- exchange matrices --------------------------------------------------
@@ -217,6 +276,23 @@ def test_lambda_mutate_matches_reference_transform():
         assert [list(r) for r in lambda_mutate(lam, bp, k).rows()] == ref_transform(
             lam.rows(), cols
         )
+
+
+def test_lambda_mutate_random_against_reference_transform():
+    # E^T lam E on arbitrary (not necessarily compatible) pairs, both signs
+    rng = random.Random(26)
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        b = random_exchange_matrix(rng, m, rng.randint(1, m))
+        lam = random_skew(rng, m)
+        for k in b.ex:
+            col = b.column(b.position(k))
+            for positive in (True, False):
+                cols = [[int(i == j) for i in range(m)] for j in range(m)]
+                sign = 1 if positive else -1
+                cols[k] = [max(sign * e, 0) - (i == k) for i, e in enumerate(col)]
+                got = lambda_mutate(lam, b, k, positive=positive)
+                assert [list(r) for r in got.rows()] == ref_transform(lam.rows(), cols)
 
 
 def test_lambda_mutate_sign_choice_agrees_under_compatibility():
@@ -398,6 +474,8 @@ CONSTRUCTORS = {
     "principal_lambda D": lambda x: principal_lambda(A2_ROWS, d=[1, x]),
     "CommLaurent exponent": lambda x: CommLaurent(2, {(x, 0): 1}),
     "TorusElement exponent": lambda x: TorusElement(L2, {(x, 0): 1}),
+    "QLaurent exponent": lambda x: QLaurent({x: 1}),
+    "QLaurent coefficient": lambda x: QLaurent({0: x}),
 }
 
 

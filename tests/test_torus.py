@@ -371,3 +371,19 @@ def test_equal_elements_hash_equal():
     d = CommLaurent(2, {(0, 0): 1, (1, 1): 1})
     assert c == d and hash(c) == hash(d)
     assert len({c, d, CommLaurent.one(3)}) == 2
+
+
+COEFFICIENT_SITES = {
+    "CommLaurent": lambda x: CommLaurent(1, {(0,): x}),
+    "TorusElement": lambda x: TorusElement(L2, {(0, 0): x}),
+    "TorusElement.scalar_mul": lambda x: TorusElement.one(L2).scalar_mul(x),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.7, "1"], ids=repr)
+@pytest.mark.parametrize("where", sorted(COEFFICIENT_SITES))
+def test_non_integer_coefficients_rejected(where, bad):
+    # True would otherwise be stored as a coefficient and written to JSON
+    # as "True", which from_json cannot read back
+    with pytest.raises(TypeError, match="bad coefficient type"):
+        COEFFICIENT_SITES[where](bad)
