@@ -11,9 +11,21 @@ so they can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Mapping
 
 from .errors import NotDivisibleError
+
+_DECIMAL = re.compile(r"-?(?:0|[1-9][0-9]*)")
+
+
+def from_decimal(value):
+    """An int, or the decimal string str(n) that to_json writes, as an int.
+
+    Any other value (bool, float, "2.7", " 2") comes back unchanged for
+    the constructor to reject, so nothing is truncated or coerced.
+    """
+    return int(value) if type(value) is str and _DECIMAL.fullmatch(value) else value
 
 
 class QLaurent:
@@ -246,7 +258,9 @@ class QLaurent:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, str]) -> "QLaurent":
-        return cls({int(e): int(c) for e, c in obj.items()})
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"QLaurent JSON must be an object, got {type(obj).__name__}")
+        return cls([(from_decimal(e), from_decimal(c)) for e, c in obj.items()])
 
     # -- rendering ----------------------------------------------------
 

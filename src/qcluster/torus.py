@@ -22,40 +22,62 @@ All values are immutable; all operations are pure.
 
 from __future__ import annotations
 
+import struct
+from functools import cache, reduce
+from operator import mul, or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import FrameMismatchError, NotDivisibleError
-from .qlaurent import QLaurent
+from .qlaurent import QLaurent, from_decimal
+
+_W = 32  # bits per packed exponent field
+_OFF = 1 << (_W - 2)  # field = exponent + _OFF; exponents lie in [-_OFF, _OFF)
+_RANGE = f"the packed range [-2**{_W - 2}, 2**{_W - 2})"
 
 
-def _grlex(a: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Graded-lexicographic sort key for exponent vectors."""
-    return (sum(a), a)
+class _Packing:
+    """Exponent vectors in Z^m as single ints, for one width m.
+
+    The key of a is sum(a) << (W m) plus the W-bit fields a_i + OFF, a_0
+    most significant, so integer order is graded-lex order and the key
+    of a + b is ka + kb - base (base: the key of 0).  A field is valid
+    while its top bit is clear.  The sum of two valid keys minus base is
+    still exact, and the lowest field that left the range has its top
+    bit set, so `key & top` detects overflow; nothing wraps silently.
+    """
+
+    __slots__ = ("m", "base", "top", "_shift", "_low", "_struct")
+
+    def __init__(self, m: int):
+        ones = sum(1 << (_W * i) for i in range(m))
+        self.m, self.base, self.top = m, _OFF * ones, (1 << (_W - 1)) * ones
+        self._shift, self._low = _W * m, (1 << (_W * m)) - 1
+        self._struct = struct.Struct(f">{m}i")
+
+    def pack(self, exp: tuple[int, ...]) -> int:
+        """The key of an int tuple, or ValueError (length) / OverflowError."""
+        if len(exp) != self.m:
+            raise ValueError(f"exponent {exp} has length {len(exp)}, expected {self.m}")
+        if exp and (min(exp) < -_OFF or max(exp) >= _OFF):
+            raise OverflowError(f"exponent {exp} leaves {_RANGE}")
+        fields = int.from_bytes(self._struct.pack(*exp), "big") ^ self.top
+        return (sum(exp) << self._shift) + fields - self.base
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        fields = ((key + self.base) & self._low) ^ self.top
+        return self._struct.unpack(fields.to_bytes(self._struct.size, "big"))
+
+    def box(self, keys) -> tuple[list[int], list[int]]:
+        """Componentwise (min, max) over a nonempty set of keys."""
+        columns = list(zip(*map(self.unpack, keys)))
+        return list(map(min, columns)), list(map(max, columns))
 
 
-def _vadd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vsub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _support_box(exps: Iterable[tuple[int, ...]], m: int):
-    """Componentwise (min, max) over a nonempty set of exponent vectors."""
-    lo = [None] * m
-    hi = [None] * m
-    for a in exps:
-        for i, x in enumerate(a):
-            if lo[i] is None or x < lo[i]:
-                lo[i] = x
-            if hi[i] is None or x > hi[i]:
-                hi[i] = x
-    return lo, hi
+_packing = cache(_Packing)
 
 
 def _add_into(acc: dict, items) -> dict:
-    """Add (exponent, coefficient) pairs into the term map acc; returns acc."""
+    """Add (key, coefficient) pairs into the term map acc; returns acc."""
     for exp, coeff in items:
         prev = acc.get(exp)
         s = coeff if prev is None else prev + coeff
@@ -156,8 +178,9 @@ class _SparseLaurent:
     """A finite sum of terms coeff * X^a, a in Z^m, over one frame.
 
     The frame is the SkewMatrix of a TorusElement or the variable count
-    m of a CommLaurent.  The term map never stores a zero coefficient,
-    so two elements are equal iff their frames and term maps are.
+    m of a CommLaurent.  The term map, keyed by packed exponents
+    (_Packing), never stores a zero coefficient, so two elements are
+    equal iff their frames and term maps are.
 
     Subclasses supply the coefficient ring (_scalar and the JSON
     coefficient codecs), the frame's width (_width), their error wording
@@ -168,17 +191,15 @@ class _SparseLaurent:
     __slots__ = ("_frame", "_terms")
 
     def __init__(self, frame, terms=()):
-        m = self._width(frame)
+        pack = _packing(self._width(frame)).pack
         items = terms.items() if isinstance(terms, Mapping) else terms
         checked = []
         for exp, coeff in items:
-            exp = _int_tuple(exp, "exponent")
-            if len(exp) != m:
-                raise ValueError(f"exponent {exp} has length {len(exp)}, expected {m}")
+            key = pack(_int_tuple(exp, "exponent"))
             c = self._scalar(coeff)
             if c is None:
                 raise TypeError(f"bad coefficient type {type(coeff).__name__}")
-            checked.append((exp, c))
+            checked.append((key, c))
         self._frame = frame
         self._terms = _add_into({}, checked)
 
@@ -220,11 +241,16 @@ class _SparseLaurent:
     def m(self) -> int:
         return self._width(self._frame)
 
-    def items(self):
-        return self._terms.items()
+    def _packing(self) -> _Packing:
+        return _packing(self._width(self._frame))
+
+    def items(self) -> list[tuple[tuple[int, ...], object]]:
+        unpack = self._packing().unpack
+        return [(unpack(k), c) for k, c in self._terms.items()]
 
     def support(self) -> list[tuple[int, ...]]:
-        return sorted(self._terms, key=_grlex)
+        """The exponents in graded-lex order."""
+        return list(map(self._packing().unpack, sorted(self._terms)))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -233,14 +259,18 @@ class _SparseLaurent:
         return len(self._terms)
 
     def coefficient(self, exp: Sequence[int]):
-        return self._terms.get(tuple(exp), self._scalar(0))
+        """The coefficient of X^exp; zero for any exponent not in the support."""
+        try:
+            key = self._packing().pack(_int_tuple(exp, "exponent"))
+        except (ValueError, OverflowError):
+            key = None
+        return self._terms.get(key, self._scalar(0))
 
     def min_exponents(self) -> tuple[int, ...]:
         """Componentwise minimum over the support (the denominator data)."""
         if not self._terms:
             raise ValueError(f"zero {self._NAME} has no support")
-        lo, _ = _support_box(self._terms, self.m)
-        return tuple(lo)
+        return tuple(self._packing().box(self._terms)[0])
 
     def _operand(self, other):
         """other as an element of this ring (of any frame), else None."""
@@ -283,7 +313,10 @@ class _SparseLaurent:
 
     def _product(self, other):
         acc: dict = {}
-        self._mul_into(acc, self._terms, other._terms)
+        packing = self._packing()
+        self._mul_into(acc, self._terms, other._terms, packing)
+        if reduce(or_, acc, 0) & packing.top:
+            raise OverflowError(f"product exponent leaves {_RANGE}")
         return self._raw(self._frame, acc)
 
     def _scaled(self, c):
@@ -292,12 +325,17 @@ class _SparseLaurent:
         return self._raw(self._frame, {e: coeff * c for e, coeff in self._terms.items()})
 
     def __pow__(self, n: int):
+        """self ** n by repeated squaring."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers are defined")
-        result = self.one(self._frame)
-        for _ in range(n):
-            result = result * self
-        return result
+        result, square = None, self
+        while n:
+            if n & 1:
+                result = square if result is None else result * square
+            n >>= 1
+            if n:
+                square = square * square
+        return self.one(self._frame) if result is None else result
 
     # -- division -----------------------------------------------------
 
@@ -307,7 +345,8 @@ class _SparseLaurent:
         Greedy cancellation of the graded-lex leading term.  Every
         quotient exponent lies in the box [min f - min g, max f - max g],
         taken componentwise over the supports, so the loop stops as soon
-        as one would leave it.
+        as one would leave it.  Inside the box, every product exponent
+        lies in the support box of f, so the subtraction cannot overflow.
         """
         if not isinstance(g, type(self)):
             raise TypeError(f"cannot divide {type(self).__name__} by {type(g).__name__}")
@@ -316,30 +355,35 @@ class _SparseLaurent:
             raise ZeroDivisionError(f"{self._RING} division by zero")
         if not self._terms:
             return self.zero(self._frame)
-        m = self.m
-        f_lo, f_hi = _support_box(self._terms, m)
-        g_lo, g_hi = _support_box(g._terms, m)
+        packing = self._packing()
+        f_lo, f_hi = packing.box(self._terms)
+        g_lo, g_hi = packing.box(g._terms)
         lo = [fl - gl for fl, gl in zip(f_lo, g_lo)]
         hi = [fh - gh for fh, gh in zip(f_hi, g_hi)]
         if any(l > h for l, h in zip(lo, hi)):
             raise NotDivisibleError("divisor support exceeds dividend support")
-        b = max(g._terms, key=_grlex)
+        b = max(g._terms)
+        bv = packing.unpack(b)
         cg = g._terms[b]
+        shift = packing.base - b
         rem = dict(self._terms)
         quot: dict = {}
         while rem:
-            t = max(rem, key=_grlex)
-            a = _vsub(t, b)
-            if any(x < l or x > h for x, l, h in zip(a, lo, hi)):
+            t = max(rem)
+            a = t + shift
+            if a & packing.top:
+                raise OverflowError(f"quotient exponent leaves {_RANGE}")
+            av = packing.unpack(a)
+            if any(x < l or x > h for x, l, h in zip(av, lo, hi)):
                 raise NotDivisibleError("leading term of remainder is not reducible")
-            c = self._lead_quotient(rem[t], cg, a, b, right)
+            c = self._lead_quotient(rem[t], cg, av, bv, right)
             quot[a] = c
             # subtract (c X^a) * g  (resp. g * (c X^a)) from the remainder
             term = {a: -c}
             if right:
-                self._mul_into(rem, term, g._terms)
+                self._mul_into(rem, term, g._terms, packing)
             else:
-                self._mul_into(rem, g._terms, term)
+                self._mul_into(rem, g._terms, term, packing)
         return self._raw(self._frame, quot)
 
     # -- comparison / serialization ------------------------------------
@@ -353,10 +397,15 @@ class _SparseLaurent:
     def __hash__(self) -> int:
         return hash((self._frame, frozenset(self._terms.items())))
 
+    def _sorted_items(self):
+        """(exponent, coefficient) pairs in graded-lex order."""
+        unpack, terms = self._packing().unpack, self._terms
+        return [(unpack(k), terms[k]) for k in sorted(terms)]
+
     def to_json(self) -> list[dict]:
         return [
-            {"exp": list(e), "coeff": self._coeff_to_json(self._terms[e])}
-            for e in self.support()
+            {"exp": list(e), "coeff": self._coeff_to_json(c)}
+            for e, c in self._sorted_items()
         ]
 
     @classmethod
@@ -409,8 +458,8 @@ class TorusElement(_SparseLaurent):
         """Graded-lex leading (exponent, coefficient) pair."""
         if not self._terms:
             raise ValueError("zero element has no leading term")
-        exp = max(self._terms, key=_grlex)
-        return exp, self._terms[exp]
+        key = max(self._terms)
+        return self._packing().unpack(key), self._terms[key]
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
@@ -421,17 +470,18 @@ class TorusElement(_SparseLaurent):
             raise TypeError(f"bad coefficient type {type(scalar).__name__}")
         return self._scaled(c)
 
-    def _mul_into(self, acc: dict, left: dict, right: dict) -> None:
+    def _mul_into(self, acc: dict, left: dict, right: dict, packing: _Packing) -> None:
         """Add the product of the term maps left * right into acc."""
         rows = self._frame.rows()
+        unpack = packing.unpack
+        right = [(b, unpack(b), cb) for b, cb in right.items()]
         for a, ca in left.items():
             # Lambda(a, b) = sum_j la[j] * b_j with la = Lambda^T a = -Lambda a
-            la = [-sum(row[i] * ai for i, ai in enumerate(a) if ai) for row in rows]
-            products = []
-            for b, cb in right.items():
-                w = sum(bj * la[j] for j, bj in enumerate(b) if bj)
-                products.append((_vadd(a, b), ca.mul_shifted(cb, w)))
-            _add_into(acc, products)
+            av = unpack(a)
+            la = [-sum(map(mul, row, av)) for row in rows]
+            a -= packing.base
+            _add_into(acc, [(a + b, ca.mul_shifted(cb, sum(map(mul, bv, la))))
+                            for b, bv, cb in right])
 
     def _lead_quotient(self, rc: QLaurent, cg: QLaurent, a, b, right: bool) -> QLaurent:
         """c with (c X^a) * (cg X^b) == rc X^{a+b} (resp. the left product)."""
@@ -459,7 +509,7 @@ class TorusElement(_SparseLaurent):
 
     def specialize_q1(self) -> "CommLaurent":
         """The commutative shadow at q = 1."""
-        return CommLaurent(self.m, ((e, c.eval_at_one()) for e, c in self._terms.items()))
+        return CommLaurent(self.m, ((e, c.eval_at_one()) for e, c in self.items()))
 
     def quasi_commutation(self, other: "TorusElement") -> int | None:
         """The integer t with self * other == q^t * other * self, or None.
@@ -472,8 +522,8 @@ class TorusElement(_SparseLaurent):
             raise ValueError("quasi-commutation is undefined for zero elements")
         p1 = self._product(other)
         p2 = other._product(self)
-        exp, c1 = p1.leading()
-        c2 = p2._terms.get(exp)
+        key = max(p1._terms)
+        c1, c2 = p1._terms[key], p2._terms.get(key)
         if c2 is None:
             return None
         try:
@@ -497,18 +547,13 @@ class TorusElement(_SparseLaurent):
         Each (a, c) returned means c * X_1^{a_1} ... X_m^{a_m}; the
         coefficient absorbs the normalization prefactor of X^a.
         """
-        out = []
-        for a in self.support():
-            w = reorder_weight(self._frame, a)
-            out.append((a, self._terms[a].shift(w)))
-        return out
+        return [(a, c.shift(reorder_weight(self._frame, a))) for a, c in self._sorted_items()]
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         parts = []
-        for e in self.support():
-            c = self._terms[e]
+        for e, c in self._sorted_items():
             mono = "X^(" + ",".join(str(x) for x in e) + ")"
             if all(x == 0 for x in e):
                 parts.append(str(c))
@@ -529,7 +574,7 @@ class CommLaurent(_SparseLaurent):
     _RING = "Laurent"
     _MISMATCH = (ValueError, "mixed variable counts")
     _coeff_to_json = str
-    _coeff_from_json = int
+    _coeff_from_json = staticmethod(from_decimal)
 
     # Bound here for the benchmark tracer, as in TorusElement.
     __mul__ = _SparseLaurent.__mul__
@@ -558,10 +603,20 @@ class CommLaurent(_SparseLaurent):
             return CommLaurent.constant(self._frame, other)
         return other if isinstance(other, CommLaurent) else None
 
-    def _mul_into(self, acc: dict, left: dict, right: dict) -> None:
+    @staticmethod
+    def _mul_into(acc: dict, left: dict, right: dict, packing: _Packing) -> None:
         """Add the product of the term maps left * right into acc."""
+        get = acc.get
+        right = right.items()
         for a, ca in left.items():
-            _add_into(acc, [(_vadd(a, b), ca * cb) for b, cb in right.items()])
+            a -= packing.base
+            for b, cb in right:
+                k = a + b
+                s = get(k, 0) + ca * cb
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
 
     @staticmethod
     def _lead_quotient(rc: int, cg: int, a, b, right: bool) -> int:
@@ -580,8 +635,7 @@ class CommLaurent(_SparseLaurent):
         if not self._terms:
             return "0"
         parts = []
-        for e in self.support():
-            c = self._terms[e]
+        for e, c in self._sorted_items():
             factors = [
                 f"x{i + 1}" if x == 1 else f"x{i + 1}^{x}"
                 for i, x in enumerate(e)

@@ -4,7 +4,9 @@ Deliberately different in method from the package internals: monomial
 products are computed by sorting an explicit word of generator letters,
 matrix transforms by naive triple loops, commutative Laurent values
 by Fraction substitution, and skew-symmetrizers by rational ratios.
-Slow and simple on purpose.
+Slow and simple on purpose.  The tuple-keyed Laurent kernel at the end
+is the package's own former product and division code, kept as the
+reference for the packed-integer kernel that replaced it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from qcluster import ExchangeMatrix, NotSymmetrizableError
+from qcluster import ExchangeMatrix, NotDivisibleError, NotSymmetrizableError, QLaurent
 from qcluster.torus import _int_tuple
 
 
@@ -142,3 +144,184 @@ def ref_skew_symmetrizer(b) -> tuple[int, ...]:
             if d[i] * rows[i][j] != -d[j] * rows[j][i]:
                 raise NotSymmetrizableError(f"no symmetrizer: check failed at ({i}, {j})")
     return tuple(d)
+
+
+# -- the tuple-keyed Laurent kernel -------------------------------------------
+#
+# The term-map loops CommLaurent and TorusElement ran on before exponent
+# vectors were packed into ints, kept as they were: each exponent vector is
+# a tuple, graded-lex order is the sort key (sum(a), a), and every monomial
+# product builds a new tuple.
+
+
+def _grlex(a: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Graded-lexicographic sort key for exponent vectors."""
+    return (sum(a), a)
+
+
+def _vadd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _vsub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _support_box(exps, m: int):
+    """Componentwise (min, max) over a nonempty set of exponent vectors."""
+    lo = [None] * m
+    hi = [None] * m
+    for a in exps:
+        for i, x in enumerate(a):
+            if lo[i] is None or x < lo[i]:
+                lo[i] = x
+            if hi[i] is None or x > hi[i]:
+                hi[i] = x
+    return lo, hi
+
+
+def _add_into(acc: dict, items) -> dict:
+    """Add (exponent, coefficient) pairs into the term map acc; returns acc."""
+    for exp, coeff in items:
+        prev = acc.get(exp)
+        s = coeff if prev is None else prev + coeff
+        if s:
+            acc[exp] = s
+        elif exp in acc:
+            del acc[exp]
+    return acc
+
+
+class RefLaurent:
+    """Tuple-keyed term maps {exponent tuple: coefficient} of one ring.
+
+    lam is None for the commutative ring CommLaurent(m) with int
+    coefficients, or the SkewMatrix of TorusElement with QLaurent
+    coefficients.  Each method takes and returns plain dicts.
+    """
+
+    def __init__(self, m: int, lam=None):
+        self.m = m
+        self.lam = lam
+
+    def _mul_into(self, acc: dict, left: dict, right: dict) -> None:
+        """Add the product of the term maps left * right into acc."""
+        if self.lam is None:
+            for a, ca in left.items():
+                _add_into(acc, [(_vadd(a, b), ca * cb) for b, cb in right.items()])
+            return
+        rows = self.lam.rows()
+        for a, ca in left.items():
+            # Lambda(a, b) = sum_j la[j] * b_j with la = Lambda^T a = -Lambda a
+            la = [-sum(row[i] * ai for i, ai in enumerate(a) if ai) for row in rows]
+            products = []
+            for b, cb in right.items():
+                w = sum(bj * la[j] for j, bj in enumerate(b) if bj)
+                products.append((_vadd(a, b), ca.mul_shifted(cb, w)))
+            _add_into(acc, products)
+
+    def one(self) -> dict:
+        return {(0,) * self.m: 1 if self.lam is None else QLaurent.one()}
+
+    def mul(self, left: dict, right: dict) -> dict:
+        acc: dict = {}
+        self._mul_into(acc, left, right)
+        return acc
+
+    def pow(self, x: dict, n: int) -> dict:
+        result = self.one()
+        for _ in range(n):
+            result = self.mul(result, x)
+        return result
+
+    def _lead_quotient(self, rc, cg, a, b, right: bool):
+        if self.lam is None:
+            c, leftover = divmod(rc, cg)
+            if leftover:
+                raise NotDivisibleError(f"leading coefficient {rc} not divisible by {cg}")
+            return c
+        twist = self.lam.form(a, b) if right else self.lam.form(b, a)
+        try:
+            return rc.shift(-twist).exact_div(cg)
+        except NotDivisibleError:
+            raise NotDivisibleError(
+                "leading coefficient not divisible in Z[q^(1/2), q^(-1/2)]"
+            ) from None
+
+    def exact_div(self, f: dict, g: dict, right: bool = True) -> dict:
+        """h with h * g == f (right) or g * h == f, else NotDivisibleError.
+
+        g must be nonzero.
+        """
+        if not f:
+            return {}
+        m = self.m
+        f_lo, f_hi = _support_box(f, m)
+        g_lo, g_hi = _support_box(g, m)
+        lo = [fl - gl for fl, gl in zip(f_lo, g_lo)]
+        hi = [fh - gh for fh, gh in zip(f_hi, g_hi)]
+        if any(l > h for l, h in zip(lo, hi)):
+            raise NotDivisibleError("divisor support exceeds dividend support")
+        b = max(g, key=_grlex)
+        cg = g[b]
+        rem = dict(f)
+        quot: dict = {}
+        while rem:
+            t = max(rem, key=_grlex)
+            a = _vsub(t, b)
+            if any(x < l or x > h for x, l, h in zip(a, lo, hi)):
+                raise NotDivisibleError("leading term of remainder is not reducible")
+            c = self._lead_quotient(rem[t], cg, a, b, right)
+            quot[a] = c
+            # subtract (c X^a) * g  (resp. g * (c X^a)) from the remainder
+            term = {a: -c}
+            if right:
+                self._mul_into(rem, term, g)
+            else:
+                self._mul_into(rem, g, term)
+        return quot
+
+    @staticmethod
+    def support(terms: dict) -> list:
+        return sorted(terms, key=_grlex)
+
+    def to_json(self, terms: dict) -> list[dict]:
+        to_json = str if self.lam is None else QLaurent.to_json
+        return [{"exp": list(e), "coeff": to_json(terms[e])} for e in self.support(terms)]
+
+    def str(self, terms: dict) -> str:
+        if not terms:
+            return "0"
+        parts = []
+        if self.lam is not None:
+            for e in self.support(terms):
+                c = terms[e]
+                mono = "X^(" + ",".join(str(x) for x in e) + ")"
+                if all(x == 0 for x in e):
+                    parts.append(str(c))
+                elif c.is_one():
+                    parts.append(mono)
+                elif len(c) == 1:
+                    parts.append(f"{c}*{mono}")
+                else:
+                    parts.append(f"({c})*{mono}")
+            return " + ".join(parts)
+        for e in self.support(terms):
+            c = terms[e]
+            factors = [
+                f"x{i + 1}" if x == 1 else f"x{i + 1}^{x}"
+                for i, x in enumerate(e)
+                if x
+            ]
+            mono = "*".join(factors)
+            if not mono:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = mono
+            else:
+                body = f"{abs(c)}*{mono}"
+            if not parts:
+                parts.append(body if c > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(parts)

@@ -27,7 +27,8 @@ def test_tracer_install_and_uninstall_round_trip(monkeypatch):
         x = CommLaurent.generator(2, 0)
         assert (x * x) ** 2 == CommLaurent.monomial(2, (4, 0))
         tracer.active = False
-        assert tracer.calls["torus.mul"] == 3 and tracer.calls["torus.pow"] == 1
+        # x * x, then one squaring inside ** 2 (powers go by repeated squaring)
+        assert tracer.calls["torus.mul"] == 2 and tracer.calls["torus.pow"] == 1
     finally:
         tracing.uninstall(saved)
     for owner, attr, original in saved:

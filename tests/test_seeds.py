@@ -487,6 +487,44 @@ def test_python_constructors_reject_non_integers(where, bad):
         CONSTRUCTORS[where](bad)
 
 
+JSON_SITES = {
+    "CommLaurent coeff": (
+        lambda x: CommLaurent.from_json(1, [{"exp": [0], "coeff": x}]),
+        TypeError, "bad coefficient type"),
+    "TorusElement coeff": (
+        lambda x: TorusElement.from_json(L2, [{"exp": [0, 0], "coeff": x}]),
+        ValueError, "QLaurent"),
+    "TorusElement v-coeff": (
+        lambda x: TorusElement.from_json(L2, [{"exp": [0, 0], "coeff": {"1": x}}]),
+        ValueError, "must hold integers"),
+    "QLaurent coeff": (lambda x: QLaurent.from_json({"0": x}), ValueError, "must hold integers"),
+    "QLaurent v-exponent": (lambda x: QLaurent.from_json({x: "1"}), ValueError, "must hold integers"),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [2.7, 2.0, True, False, None, (1,), "2.7", " 2", "+2", "02", "1_0", "x"], ids=repr
+)
+@pytest.mark.parametrize("where", sorted(JSON_SITES))
+def test_json_readers_reject_non_integers(where, bad):
+    # int() would read 2.7 and "2.0"-like values as 2 and True as 1
+    build, error, message = JSON_SITES[where]
+    with pytest.raises(error, match=message):
+        build(bad)
+
+
+@pytest.mark.parametrize("good", [-12, 0, 7, "-12", "0", "7", str(10**40)], ids=repr)
+def test_json_readers_accept_ints_and_their_decimal_strings(good):
+    n = int(good)
+    if n:
+        assert CommLaurent.from_json(1, [{"exp": [2], "coeff": good}]) == CommLaurent(1, {(2,): n})
+    assert QLaurent.from_json({"3": good}) == QLaurent({3: n})
+    assert QLaurent.from_json({str(n): "1"}) == QLaurent({n: 1})
+    # what to_json writes reads back
+    f = CommLaurent(2, {(1, -1): n or 5, (0, 2): -3})
+    assert CommLaurent.from_json(2, f.to_json()) == f
+
+
 def test_seed_validation():
     b = ExchangeMatrix(A2_ROWS)
     with pytest.raises(ValueError):

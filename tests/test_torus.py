@@ -1,6 +1,7 @@
 """Quantum torus and its q=1 shadow: products, division, quasi-commutation."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from helpers import (
     random_torus_element,
     random_vector,
 )
-from oracles import eval_laurent, ref_basis_twist, ref_transform
+from oracles import RefLaurent, _support_box, eval_laurent, ref_basis_twist, ref_transform
 
 L2 = SkewMatrix([[0, 1], [-1, 0]])
 
@@ -387,3 +388,115 @@ def test_non_integer_coefficients_rejected(where, bad):
     # as "True", which from_json cannot read back
     with pytest.raises(TypeError, match="bad coefficient type"):
         COEFFICIENT_SITES[where](bad)
+
+
+# -- the packed-integer kernel against the tuple-keyed one ----------------
+
+
+def _ring_pair(rng, m):
+    """A random ring of width m: (element builder, RefLaurent, divisions)."""
+    if rng.random() < 0.5:
+        ref = RefLaurent(m)
+
+        def build():
+            terms = [(random_vector(rng, m, 3), rng.randint(-4, 4))
+                     for _ in range(rng.randint(1, 4))]
+            return CommLaurent(m, terms)
+
+        return build, ref, {True: CommLaurent.exact_div}
+    lam = random_skew(rng, m, 2)
+    ref = RefLaurent(m, lam)
+    return (
+        lambda: random_torus_element(rng, lam, terms=3, exp_bound=3),
+        ref,
+        {True: TorusElement.exact_div_right, False: TorusElement.exact_div_left},
+    )
+
+
+def _terms(x):
+    return dict(x.items())
+
+
+def _div_outcome(divide, f, g):
+    try:
+        return "ok", _terms(divide(f, g))
+    except NotDivisibleError as exc:
+        return "NotDivisibleError", str(exc)
+
+
+def _ref_div_outcome(ref, f, g, right):
+    try:
+        return "ok", ref.exact_div(f, g, right)
+    except NotDivisibleError as exc:
+        return "NotDivisibleError", str(exc)
+
+
+def test_packed_kernel_matches_tuple_oracle():
+    rng = random.Random(71)
+    messages = set()
+    for m in range(1, 9):
+        for _ in range(30):
+            build, ref, divisions = _ring_pair(rng, m)
+            x, y = build(), build()
+            tx, ty = _terms(x), _terms(y)
+            for element, terms in ((x, tx), (y, ty)):
+                assert element.support() == ref.support(terms)
+                assert element.to_json() == ref.to_json(terms)
+                assert str(element) == ref.str(terms)
+                if terms:
+                    assert element.min_exponents() == tuple(_support_box(terms, m)[0])
+            product = x * y
+            assert _terms(product) == ref.mul(tx, ty)
+            assert product.to_json() == ref.to_json(ref.mul(tx, ty))
+            assert str(product) == ref.str(ref.mul(tx, ty))
+            n = rng.randint(0, 4)
+            assert _terms(x**n) == ref.pow(tx, n)
+            if not y:
+                continue
+            for right, divide in divisions.items():
+                # a true multiple, and one perturbed by a random element
+                exact = x * y if right else y * x
+                for f in (exact, exact + build()):
+                    want = _ref_div_outcome(ref, _terms(f), ty, right)
+                    assert _div_outcome(divide, f, y) == want
+                    if want[0] == "NotDivisibleError":
+                        messages.add(re.sub(r"-?[0-9]+", "N", want[1]))
+    # the perturbed cases reach every NotDivisibleError of both rings
+    assert messages == {
+        "divisor support exceeds dividend support",
+        "leading term of remainder is not reducible",
+        "leading coefficient N not divisible by N",
+        "leading coefficient not divisible in Z[q^(N/N), q^(N/N)]",
+    }
+
+
+def test_packed_exponent_overflow_guard():
+    limit = 2**30  # exponents lie in [-limit, limit)
+    for ring in (2, L2):
+        cls = CommLaurent if ring == 2 else TorusElement
+        edge = cls.monomial(ring, (limit - 1, -limit))
+        assert edge.support() == [(limit - 1, -limit)]
+        assert edge.to_json()[0]["exp"] == [limit - 1, -limit]
+        for exp in ((limit, 0), (0, -limit - 1), (2**40, 0), (-(2**70), 1)):
+            with pytest.raises(OverflowError):
+                cls.monomial(ring, exp)
+            # an exponent outside the range is not in any support
+            assert edge.coefficient(exp) == 0
+        half = cls.monomial(ring, (2**29, 0))
+        assert half * cls.monomial(ring, (2**29 - 1, 0)) == cls.monomial(ring, (limit - 1, 0))
+        with pytest.raises(OverflowError):
+            half * half  # 2**30 crosses the top of the range
+        with pytest.raises(OverflowError):
+            half**2
+        low = cls.monomial(ring, (0, -(2**29)))
+        assert low**2 == cls.monomial(ring, (0, -limit))
+        with pytest.raises(OverflowError):
+            low**3
+        # the overflowing term is one of several; the others stay in range
+        mixed = cls.monomial(ring, (0, 0)) + cls.monomial(ring, (1, 2**29))
+        with pytest.raises(OverflowError):
+            mixed * mixed
+        # a quotient exponent past the range raises too, never wraps
+        divide = cls.exact_div if cls is CommLaurent else cls.exact_div_right
+        with pytest.raises(OverflowError):
+            divide(cls.monomial(ring, (0, -(2**29))), cls.monomial(ring, (0, 2**29 + 1)))
