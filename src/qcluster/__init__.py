@@ -1,8 +1,9 @@
 """Exact-arithmetic engine for classical and quantum cluster algebras.
 
-Layers, bottom to top: scalar ring Z[q^(1/2), q^(-1/2)] (qlaurent),
-based quantum torus and commutative Laurent polynomials (torus),
-exchange matrices / compatible pairs / seeds (seeds), the exchange
+Layers, bottom to top: the sparse Laurent kernel and the scalar ring
+Z[q^(1/2), q^(-1/2)] built on it (qlaurent), the based quantum torus and
+commutative Laurent polynomials on the same kernel (torus), exchange
+matrices / compatible pairs / seeds (seeds), the exchange
 relations (mutation), exchange-graph exploration (explorer), and a JSON
 command-line front end (cli).  Everything is exact integer arithmetic;
 there is no floating point anywhere.

@@ -27,6 +27,8 @@ the q-powers dies here instead of propagating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .errors import ClusterError, IncompatibleError, NotDivisibleError
 from .qlaurent import QLaurent
@@ -38,19 +40,19 @@ from .seeds import (
     lambda_mutate,
     matrix_mutate,
 )
-from .torus import CommLaurent, TorusElement, reorder_weight
+from .torus import reorder_weight
+
+
+def _ordered_product(vars, g):
+    """vars[0] ** g[0] * ... * vars[m-1] ** g[m-1], left to right; 1 for g = 0."""
+    return reduce(mul, [v ** gi for v, gi in zip(vars, g) if gi] or [vars[0] ** 0])
 
 
 def classical_mutate(seed: ClassicalSeed, k: int) -> ClassicalSeed:
     """Mutate a classical seed in direction k (a row index in ex)."""
     b = seed.b
-    num = None
-    for g in _exchange_exponents(b, k):
-        prod = CommLaurent.one(b.m)
-        for i, gi in enumerate(g):
-            if gi:
-                prod = prod * seed.vars[i] ** gi
-        num = prod if num is None else num + prod
+    g_pos, g_neg = _exchange_exponents(b, k)
+    num = _ordered_product(seed.vars, g_pos) + _ordered_product(seed.vars, g_neg)
     try:
         new_var = num.exact_div(seed.vars[k])
     except NotDivisibleError as exc:
@@ -75,12 +77,8 @@ def quantum_mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
     e_k[k] = 1
     num = None
     for g in (g_pos, g_neg):
-        prod = TorusElement.one(seed.vars[0].lam)
-        for i, gi in enumerate(g):
-            if gi:
-                prod = prod * seed.vars[i] ** gi
         shift = reorder_weight(lam, g) + lam.form(g, e_k)
-        term = prod.scalar_mul(QLaurent.v_power(shift))
+        term = _ordered_product(seed.vars, g).scalar_mul(QLaurent.v_power(shift))
         num = term if num is None else num + term
     try:
         new_var = num.exact_div_right(seed.vars[k])

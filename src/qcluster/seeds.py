@@ -243,24 +243,20 @@ def _exchange_exponents(b: ExchangeMatrix, k: int) -> tuple[list[int], list[int]
     return [max(e, 0) for e in col], [max(-e, 0) for e in col]
 
 
-def lambda_mutate(
-    lam: SkewMatrix, b: ExchangeMatrix, k: int, positive: bool = True
-) -> SkewMatrix:
+def lambda_mutate(lam: SkewMatrix, b: ExchangeMatrix, k: int) -> SkewMatrix:
     """Transport the frame through mutation in direction k.
 
     The new frame is E^T lam E, where E is the identity but for its k-th
     column c, the exponent of one exchange monomial: -e_k plus the
-    positive part of column k (positive=True, the default) or its
-    negative part (see _exchange_exponents).  Only row and column k
-    change: lam'_ik = sum_t lam_it c_t = -lam'_ki.  The two choices
-    agree whenever (lam, b) is a compatible pair; the tests assert that
-    rather than assume it.
+    positive part of column k (see _exchange_exponents).  Only row and
+    column k change: lam'_ik = sum_t lam_it c_t = -lam'_ki.  The
+    negative part gives the same frame whenever (lam, b) is a compatible
+    pair; the tests assert that rather than assume it.
     """
-    g_pos, g_neg = _exchange_exponents(b, k)
+    c = _exchange_exponents(b, k)[0]
     m = lam.m
     if b.m != m:
         raise ValueError(f"matrix sizes disagree: {b.m} vs {m}")
-    c = g_pos if positive else g_neg
     c[k] -= 1
     rows = [list(row) for row in lam.rows()]
     for i, row in enumerate(lam.rows()):

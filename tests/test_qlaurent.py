@@ -126,3 +126,13 @@ def test_hash_consistent_with_eq():
     assert f == g
     assert hash(f) == hash(g)
     assert len({f, g}) == 1
+
+
+def test_public_surface_speaks_int_exponents():
+    # the frame-taking members of the torus rings are not QLaurent's
+    for name in ("monomial", "generator", "m", "support", "min_exponents"):
+        assert not hasattr(QLaurent, name)
+    assert QLaurent.zero() == QLaurent() and QLaurent.one() == QLaurent({0: 1})
+    # both rings over Z commute, so division has no side to choose
+    with pytest.raises(TypeError):
+        QLaurent.one().exact_div(QLaurent.one(), right=False)

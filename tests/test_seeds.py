@@ -278,32 +278,40 @@ def test_lambda_mutate_matches_reference_transform():
         )
 
 
+def _exchange_columns(b, k, sign):
+    """Columns of E for direction k: the identity, but -e_k plus the part of
+    column k of b with the given sign (+1 positive, -1 negative) in column k."""
+    m = b.m
+    col = b.column(b.position(k))
+    cols = [[int(i == j) for i in range(m)] for j in range(m)]
+    cols[k] = [max(sign * e, 0) - (i == k) for i, e in enumerate(col)]
+    return cols
+
+
 def test_lambda_mutate_random_against_reference_transform():
-    # E^T lam E on arbitrary (not necessarily compatible) pairs, both signs
+    # E^T lam E on arbitrary (not necessarily compatible) pairs
     rng = random.Random(26)
     for _ in range(60):
         m = rng.randint(1, 5)
         b = random_exchange_matrix(rng, m, rng.randint(1, m))
         lam = random_skew(rng, m)
         for k in b.ex:
-            col = b.column(b.position(k))
-            for positive in (True, False):
-                cols = [[int(i == j) for i in range(m)] for j in range(m)]
-                sign = 1 if positive else -1
-                cols[k] = [max(sign * e, 0) - (i == k) for i, e in enumerate(col)]
-                got = lambda_mutate(lam, b, k, positive=positive)
-                assert [list(r) for r in got.rows()] == ref_transform(lam.rows(), cols)
+            got = lambda_mutate(lam, b, k)
+            assert [list(r) for r in got.rows()] == ref_transform(
+                lam.rows(), _exchange_columns(b, k, 1)
+            )
 
 
 def test_lambda_mutate_sign_choice_agrees_under_compatibility():
+    # the negative part of column k gives the same frame on compatible pairs
     rng = random.Random(25)
     for _ in range(40):
         n = rng.randint(1, 3)
         seed = random_principal_quantum_seed(rng, n)
         for k in seed.b.ex:
-            pos = lambda_mutate(seed.lam, seed.b, k, positive=True)
-            neg = lambda_mutate(seed.lam, seed.b, k, positive=False)
-            assert pos == neg
+            pos = lambda_mutate(seed.lam, seed.b, k)
+            neg = ref_transform(seed.lam.rows(), _exchange_columns(seed.b, k, -1))
+            assert [list(r) for r in pos.rows()] == neg
 
 
 def test_mutation_pair_preserves_compatibility_and_d():

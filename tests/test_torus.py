@@ -17,6 +17,7 @@ from qcluster import (
 )
 
 from helpers import (
+    random_nonzero_qlaurent,
     random_nonzero_torus_element,
     random_skew,
     random_torus_element,
@@ -191,6 +192,35 @@ def test_quasi_commutation():
     assert (x1 + x2).quasi_commutation(x1) is None
     with pytest.raises(ValueError):
         x1.quasi_commutation(TorusElement.zero(L2))
+
+
+def test_quasi_commutation_matches_definition():
+    # t with f * g == q^t * g * f, searched over every t these sizes allow:
+    # |Lambda(a, b)| <= 2 * 2 * 2 * 6 = 48 (m <= 3, entries and exponents <= 2)
+    rng = random.Random(43)
+    found = 0
+    for case in range(240):
+        lam = random_skew(rng, rng.randint(1, 3), 2)
+        if case % 3 == 0:  # arbitrary elements: mostly no such t
+            f = random_nonzero_torus_element(rng, lam, exp_bound=2)
+            g = random_nonzero_torus_element(rng, lam, exp_bound=2)
+        elif case % 3 == 1:  # monomials whose coefficients have several terms
+            f, g = (
+                TorusElement.monomial(
+                    lam, random_vector(rng, lam.m, 2), random_nonzero_qlaurent(rng, vexp=2)
+                )
+                for _ in range(2)
+            )
+        else:  # an element against a scaled power of itself
+            f = random_nonzero_torus_element(rng, lam, exp_bound=1)
+            g = (f ** rng.randint(1, 2)).scalar_mul(random_nonzero_qlaurent(rng, vexp=2))
+        fg, gf = f * g, g * f
+        want = [t for t in range(-48, 49) if fg == gf.scalar_mul(QLaurent.q_power(t))]
+        assert len(want) <= 1
+        got = f.quasi_commutation(g)
+        assert got == (want[0] if want else None)
+        found += got is not None
+    assert 160 <= found < 240
 
 
 def test_bar_involution():
@@ -417,9 +447,9 @@ def _terms(x):
     return dict(x.items())
 
 
-def _div_outcome(divide, f, g):
+def _div_outcome(divide, f, g, terms):
     try:
-        return "ok", _terms(divide(f, g))
+        return "ok", terms(divide(f, g))
     except NotDivisibleError as exc:
         return "NotDivisibleError", str(exc)
 
@@ -431,6 +461,30 @@ def _ref_div_outcome(ref, f, g, right):
         return "NotDivisibleError", str(exc)
 
 
+def _v_terms(x):
+    """A QLaurent's term map in RefLaurent(1) form: v^e as the tuple (e,)."""
+    return {(e,): c for e, c in x.items()}
+
+
+def _check_arithmetic(rng, x, y, build, ref, divisions, terms, messages):
+    """x * y, x ** n and both divisions of x * y (exact, then perturbed)."""
+    tx, ty = terms(x), terms(y)
+    product = x * y
+    assert terms(product) == ref.mul(tx, ty)
+    n = rng.randint(0, 4)
+    assert terms(x**n) == ref.pow(tx, n)
+    if not y:
+        return
+    for right, divide in divisions.items():
+        # a true multiple, and one perturbed by a random element
+        exact = x * y if right else y * x
+        for f in (exact, exact + build()):
+            want = _ref_div_outcome(ref, terms(f), ty, right)
+            assert _div_outcome(divide, f, y, terms) == want
+            if want[0] == "NotDivisibleError":
+                messages.add(re.sub(r"-?[0-9]+", "N", want[1]))
+
+
 def test_packed_kernel_matches_tuple_oracle():
     rng = random.Random(71)
     messages = set()
@@ -438,35 +492,39 @@ def test_packed_kernel_matches_tuple_oracle():
         for _ in range(30):
             build, ref, divisions = _ring_pair(rng, m)
             x, y = build(), build()
-            tx, ty = _terms(x), _terms(y)
-            for element, terms in ((x, tx), (y, ty)):
+            for element in (x, y):
+                terms = _terms(element)
                 assert element.support() == ref.support(terms)
                 assert element.to_json() == ref.to_json(terms)
                 assert str(element) == ref.str(terms)
                 if terms:
                     assert element.min_exponents() == tuple(_support_box(terms, m)[0])
-            product = x * y
-            assert _terms(product) == ref.mul(tx, ty)
-            assert product.to_json() == ref.to_json(ref.mul(tx, ty))
-            assert str(product) == ref.str(ref.mul(tx, ty))
-            n = rng.randint(0, 4)
-            assert _terms(x**n) == ref.pow(tx, n)
-            if not y:
-                continue
-            for right, divide in divisions.items():
-                # a true multiple, and one perturbed by a random element
-                exact = x * y if right else y * x
-                for f in (exact, exact + build()):
-                    want = _ref_div_outcome(ref, _terms(f), ty, right)
-                    assert _div_outcome(divide, f, y) == want
-                    if want[0] == "NotDivisibleError":
-                        messages.add(re.sub(r"-?[0-9]+", "N", want[1]))
+            product, want = x * y, ref.mul(_terms(x), _terms(y))
+            assert product.to_json() == ref.to_json(want)
+            assert str(product) == ref.str(want)
+            _check_arithmetic(rng, x, y, build, ref, divisions, _terms, messages)
     # the perturbed cases reach every NotDivisibleError of both rings
     assert messages == {
         "divisor support exceeds dividend support",
         "leading term of remainder is not reducible",
         "leading coefficient N not divisible by N",
         "leading coefficient not divisible in Z[q^(N/N), q^(N/N)]",
+    }
+
+    # QLaurent is the one-variable ring, keyed by the v-exponent itself
+    def build():
+        terms = [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))]
+        return QLaurent(terms)
+
+    messages = set()
+    for _ in range(200):
+        x, y = build(), build()
+        divisions = {True: QLaurent.exact_div}
+        _check_arithmetic(rng, x, y, build, RefLaurent(1), divisions, _v_terms, messages)
+    assert messages == {
+        "divisor support exceeds dividend support",
+        "leading term of remainder is not reducible",
+        "leading coefficient N not divisible by N",
     }
 
 
