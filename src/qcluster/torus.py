@@ -31,14 +31,20 @@ from .errors import FrameMismatchError, NotDivisibleError
 from .qlaurent import (
     QLaurent,
     _add_into,
+    _GAP,
+    _int_division_step,
     _int_exact_div,
-    _int_lead_quotient,
     _int_mul_into,
     _int_scalar,
     _int_tuple,
     _packing,
     _Packing,
     _SparseLaurent,
+    _v_cut,
+    _v_decode,
+    _v_decode_apart,
+    _v_scan,
+    _v_width,
     from_decimal,
 )
 
@@ -270,26 +276,100 @@ class TorusElement(_FramedLaurent):
 
     def _mul_into(self, acc: dict, left: dict, right: dict, packing: _Packing) -> None:
         """Add the product of the term maps left * right into acc."""
-        rows = self._frame.rows()
         unpack = packing.unpack
-        right = [(b, unpack(b), cb) for b, cb in right.items()]
-        for a, ca in left.items():
-            # Lambda(a, b) = sum_j la[j] * b_j with la = Lambda^T a = -Lambda a
-            av = unpack(a)
-            la = [-sum(map(mul, row, av)) for row in rows]
-            a -= packing.base
-            _add_into(acc, [(a + b, ca.mul_shifted(cb, sum(map(mul, bv, la))))
-                            for b, bv, cb in right])
+        self._mul_scanned(acc, _v_scan(left, unpack), _v_scan(right, unpack), packing)
 
-    def _lead_quotient(self, rc: QLaurent, cg: QLaurent, a, b, right: bool) -> QLaurent:
-        """c with (c X^a) * (cg X^b) == rc X^{a+b} (resp. the left product)."""
-        twist = self._frame.form(a, b) if right else self._frame.form(b, a)
-        try:
-            return rc.shift(-twist).exact_div(cg)
-        except NotDivisibleError:
-            raise NotDivisibleError(
-                "leading coefficient not divisible in Z[q^(1/2), q^(-1/2)]"
-            ) from None
+    def _mul_scanned(self, acc: dict, left: list, right: list, packing: _Packing) -> None:
+        """Add the product of two scanned term maps (qlaurent._v_scan) into acc.
+
+        Coefficients are multiplied as ints at v = 2^k (Kronecker
+        substitution): each pair of runs costs one int product, summed
+        per output term as (lowest v-exponent, int) and shifted into line
+        when a contribution starts lower; each sum is decoded once.  A
+        contribution more than _GAP digits from the sum of its output
+        term is summed apart (qlaurent._v_decode_apart), so no int grows
+        with the gaps between v-exponents, only with its terms.
+        """
+        (outer, lbig, llong, _, _), (inner, rbig, rlong, _, _) = left, right
+        # The twist Lambda(a, b) is a . (Lambda b) = b . (-Lambda a): one
+        # matrix-vector product per term of the operand with fewer terms
+        # (outer), one dot product per pair of runs.
+        sign = -1
+        if len(outer) > len(inner):
+            outer, inner, sign = inner, outer, 1
+        k = _v_width(lbig * rbig * len(outer) * min(llong, rlong))
+        if llong > 1 or rlong > 1:
+            if sign < 0:
+                outer, inner = _v_cut(left, k), _v_cut(right, k)
+            else:
+                outer, inner = _v_cut(right, k), _v_cut(left, k)
+        rows = self._frame.rows()
+        reach = _GAP * k
+        sums: dict = {}  # key -> (lo, int)
+        far: dict = {}  # key -> {lo: int}, the contributions too far from sums[key]
+        get = sums.get
+        for s, sv, lo_s, x in outer:
+            ls = [sign * sum(map(mul, row, sv)) for row in rows]
+            s -= packing.base
+            for t, tv, lo_t, y in inner:
+                key = s + t
+                lo = lo_s + lo_t + sum(map(mul, tv, ls))
+                xy = x * y
+                prev = get(key)
+                if prev is None:
+                    sums[key] = (lo, xy)
+                    continue
+                # within reach, the shift costs no more bits than the two
+                # ints and _GAP digits; the first test spares the bit count
+                p, z = prev
+                if lo >= p:
+                    d = k * (lo - p)
+                    if d <= reach or d <= reach + z.bit_length():
+                        sums[key] = (p, z + (xy << d))
+                        continue
+                else:
+                    d = k * (p - lo)
+                    if d <= reach or d <= reach + xy.bit_length():
+                        sums[key] = (lo, (z << d) + xy)
+                        continue
+                pieces = far.get(key)
+                if pieces is None:
+                    far[key] = {lo: xy}
+                else:
+                    pieces[lo] = pieces.get(lo, 0) + xy
+        _add_into(acc, _v_decode(sums.items(), k))
+        if far:
+            _add_into(acc, _v_decode_apart(far, k))
+
+    def _division_step(self, g: dict, b: int, right: bool, packing: _Packing):
+        """The step of exact division by g, whose leading term is g[b] X^b.
+
+        step(rem, rc, a, av) returns the c with (c X^a) * (g[b] X^b) ==
+        rc X^{a+b} (resp. the left product), or raises NotDivisibleError,
+        and subtracts (c X^a) * g (resp. g * (c X^a)) from rem.  The
+        divisor is scanned once per division, not once per step.
+        """
+        unpack, mul_scanned = packing.unpack, self._mul_scanned
+        cg, divisor = g[b], _v_scan(g, unpack)
+        # Lambda(a, b) = sum_i a_i lb[i] with lb = Lambda b; Lambda(b, a) = -Lambda(a, b)
+        sign, bv = 1 if right else -1, unpack(b)
+        lb = [sign * sum(map(mul, row, bv)) for row in self._frame.rows()]
+
+        def step(rem: dict, rc: QLaurent, a: int, av) -> QLaurent:
+            try:
+                c = rc.shift(-sum(map(mul, av, lb))).exact_div(cg)
+            except NotDivisibleError:
+                raise NotDivisibleError(
+                    "leading coefficient not divisible in Z[q^(1/2), q^(-1/2)]"
+                ) from None
+            term = _v_scan({a: -c}, unpack)
+            if right:
+                mul_scanned(rem, term, divisor, packing)
+            else:
+                mul_scanned(rem, divisor, term, packing)
+            return c
+
+        return step
 
     def exact_div_right(self, g: "TorusElement") -> "TorusElement":
         """Return h with h * g == self, or raise NotDivisibleError."""
@@ -365,7 +445,7 @@ class CommLaurent(_FramedLaurent):
     _coeff_from_json = staticmethod(from_decimal)
     _scalar = staticmethod(_int_scalar)
     _mul_into = staticmethod(_int_mul_into)
-    _lead_quotient = staticmethod(_int_lead_quotient)
+    _division_step = staticmethod(_int_division_step)
 
     # Bound here for the benchmark tracer, as in TorusElement.
     __mul__ = _SparseLaurent.__mul__

@@ -381,6 +381,12 @@ EDGE_CASES = {
         {"max_depth": 8},
         ("CappedByDepth", 17, 30),
     ),
+    # a symmetrizer of 10^18 spreads each coefficient's terms 10^18 apart
+    "kronecker-quantum-wide": (
+        lambda: principal_seed(KRONECKER, None, [10**18, 10**18]),
+        {"max_depth": 6},
+        ("CappedByDepth", 13, 22),
+    ),
 }
 
 

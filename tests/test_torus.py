@@ -24,6 +24,8 @@ from helpers import (
     random_vector,
 )
 from oracles import RefLaurent, _support_box, eval_laurent, ref_basis_twist, ref_transform
+import qcluster.qlaurent
+from qcluster.qlaurent import _GAP, _v_decode, _v_digits, _v_runs, _v_scan, _v_width
 
 L2 = SkewMatrix([[0, 1], [-1, 0]])
 
@@ -558,3 +560,175 @@ def test_packed_exponent_overflow_guard():
         divide = cls.exact_div if cls is CommLaurent else cls.exact_div_right
         with pytest.raises(OverflowError):
             divide(cls.monomial(ring, (0, -(2**29))), cls.monomial(ring, (0, 2**29 + 1)))
+
+
+# -- the Kronecker product (v = 2^k) against the schoolbook oracle ---------
+
+
+def _wide_qlaurent(rng, bits, span):
+    """2-4 terms over a v-span of exactly span, signs mixed, up to bits bits."""
+    lo = rng.randint(-span, span)
+    exps = {lo, lo + span} | {rng.randint(lo, lo + span) for _ in range(rng.randint(0, 2))}
+    return QLaurent({e: rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1) for e in exps})
+
+
+@pytest.mark.parametrize("bits, span", [(3, 130), (70, 5), (70, 120), (2000, 3), (300, 101)])
+def test_kronecker_product_matches_schoolbook_oracle(bits, span):
+    # RefLaurent multiplies coefficients with QLaurent.mul_shifted, the
+    # schoolbook loop, so it shares nothing with the substitution kernel
+    rng = random.Random(bits * 1009 + span)
+    divisions = {True: TorusElement.exact_div_right, False: TorusElement.exact_div_left}
+    for _ in range(6):
+        m = rng.randint(1, 3)
+        lam = random_skew(rng, m, 3)
+
+        def build():
+            terms = [(random_vector(rng, m, 2), _wide_qlaurent(rng, bits, span))
+                     for _ in range(rng.randint(1, 3))]
+            return TorusElement(lam, terms)
+
+        x, y = build(), build()
+        _check_arithmetic(rng, x, y, build, RefLaurent(m, lam), divisions, _terms, set())
+
+
+def test_kronecker_contributions_cancel_and_realign():
+    lam = L2  # X1 X2 = v X^(1,1) and X2 X1 = v^-1 X^(1,1)
+    x1, x2 = gens(lam)
+    ref = RefLaurent(2, lam)
+    rng = random.Random(97)
+    for bits in (5, 90, 3000):
+        c = _wide_qlaurent(rng, bits, 140)
+        # X1 * (c X2) + X2 * (-v^2 c X1) = 0: the (1, 1) term cancels exactly
+        f, g = x1 + x2, x1.scalar_mul(-c.shift(2)) + x2.scalar_mul(c)
+        for product, want in ((f * g, ref.mul(_terms(f), _terms(g))),
+                              (g * f, ref.mul(_terms(g), _terms(f)))):
+            assert _terms(product) == want
+            assert all(coeff for _, coeff in product.items())
+        assert (f * g).support() == [(0, 2), (2, 0)]
+        # the same key reached by contributions whose lowest v-exponents
+        # differ, the second one higher and then lower
+        d = _wide_qlaurent(rng, bits, 140).shift(-400)
+        for low, high in ((d, c), (c, d)):
+            g = x1.scalar_mul(low) + x2.scalar_mul(high)
+            for left, right in ((f, g), (g, f)):
+                product = left * right
+                assert _terms(product) == ref.mul(_terms(left), _terms(right))
+                assert _terms(product.exact_div_right(right)) == _terms(left)
+                assert _terms(product.exact_div_left(left)) == _terms(right)
+
+
+def test_kronecker_digit_at_the_bound():
+    # coefficients whose digit bound B = max|left| * max|right| * (term
+    # pairs) * (shorter coefficient) is 2^(k-1) - 1 for a digit width k,
+    # and is met with equality at the middle v-power of the product
+    def ones(n, c=1):
+        return QLaurent({e: c for e in range(n)})
+
+    cases = [(ones(127), ones(127), 8), (ones(151, 7), ones(151, 31), 16),
+             (ones(1, 2**31 - 1), ones(1), 32), (ones(1, 2**63 - 1), ones(1), 64),
+             (ones(1, 2**71 - 1), ones(1), 72)]
+    for cl, cr, width in cases:
+        for sign in (1, -1):
+            f = TorusElement.monomial(L2, (1, 0), cl)
+            g = TorusElement.monomial(L2, (0, 1), cr * sign)
+            unpack = f._packing().unpack
+            left, right = _v_scan(f._terms, unpack), _v_scan(g._terms, unpack)
+            k = _v_width(left[1] * right[1] * min(left[2], right[2]))  # one term each
+            assert k == width
+            product = f * g
+            middle = (len(cl) + len(cr)) // 2 - 1 + L2.form((1, 0), (0, 1))
+            assert product.coefficient((1, 1)).coefficient(middle) == sign * (2 ** (k - 1) - 1)
+            assert product == TorusElement.monomial(L2, (1, 1), (cl * cr * sign).shift(1))
+
+
+@pytest.mark.parametrize("exps", [(0, 3, 5), (5, 3, 0), (0, 100, 100), (100, 100, 0),
+                                  (100, 0, 100), (0, -100, 50), (50, 0, -100), (7, 7, 7)])
+def test_kronecker_near_and_far_contributions(exps):
+    # f * g reaches X1 X2 three times: 1 * (c0 X1 X2), X1 * (c1 X2) and
+    # X2 * (c2 X1), at the v-exponents e0, e1, e2 (c1 and c2 absorb the
+    # twists +1 and -1 of L2).  A contribution within _GAP digits of the
+    # sum is shifted into it, from above or below; a further one is summed
+    # apart, and opposite signs at one exponent cancel.
+    x1, x2 = gens(L2)
+    f = TorusElement.one(L2) + x1 + x2
+    ref = RefLaurent(2, L2)
+    for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)):
+        shifted = (exps[0], exps[1] - 1, exps[2] + 1)
+        c0, c1, c2 = (QLaurent({e: 3 * sign}) for e, sign in zip(shifted, signs))
+        g = TorusElement.monomial(L2, (1, 1), c0) + x2.scalar_mul(c1) + x1.scalar_mul(c2)
+        want = QLaurent([(e, 3 * sign) for e, sign in zip(exps, signs)])
+        assert (f * g).coefficient((1, 1)) == want
+        for left, right in ((f, g), (g, f)):
+            product = left * right
+            assert _terms(product) == ref.mul(_terms(left), _terms(right))
+            assert all(coeff for _, coeff in product.items())
+
+
+def test_v_runs_cut_at_wide_gaps():
+    # exponents at most _GAP apart share one image; a wider gap starts a run
+    dense = {e: e + 1 for e in range(0, 5 * _GAP, _GAP)}
+    assert _v_runs(dense, 8) == [(0, sum(c << 8 * e for e, c in dense.items()))]
+    sparse = {-3: 2, -3 + _GAP: -1, 10**18: 5, 10**18 + 1: 7, 10**18 + 1 + _GAP: 1}
+    assert _v_runs(sparse, 16) == [(-3, 2 - (1 << 16 * _GAP)),
+                                   (10**18, 5 + (7 << 16) + (1 << 16 * (_GAP + 1)))]
+    assert _v_runs({10**18: 4, -(10**18): 9}, 8) == [(-(10**18), 9), (10**18, 4)]
+
+
+def test_kronecker_cost_follows_terms_not_v_span(monkeypatch):
+    # Lambda entries of 10^18 put the contributions to one output term
+    # about 10^18 v-powers apart, and the coefficients spread as wide; an
+    # int spanning such a gap would take 10^19 bits.  Each int a product
+    # decodes spans at most 2 _GAP + 1 digits per product of two terms it
+    # holds, and it holds at most every such product of the operands.
+    limits, widest = [], []
+
+    def terms(scan):
+        return sum(1 if lo is not None else len(t) for _, _, lo, t in scan[0])
+
+    def mul_scanned(self, acc, left, right, packing):
+        limits.append((2 * _GAP + 1) * terms(left) * terms(right))
+        original(self, acc, left, right, packing)
+        limits.pop()
+
+    def digits(lo, x, k):
+        widest.append((x.bit_length() // k + 1) / limits[-1])
+        return _v_digits(lo, x, k)
+
+    original = TorusElement._mul_scanned
+    monkeypatch.setattr(TorusElement, "_mul_scanned", mul_scanned)
+    monkeypatch.setattr(qcluster.qlaurent, "_v_digits", digits)
+    big = 10**18
+    lam = SkewMatrix([[0, big, 1], [-big, 0, -big], [-1, big, 0]])
+    rng = random.Random(18)
+    divisions = {True: TorusElement.exact_div_right, False: TorusElement.exact_div_left}
+
+    def coefficient():
+        choices = (0, 1, 2, 5, big, big + 2, -big, 3 * big)
+        exps = {rng.choice(choices) for _ in range(rng.randint(1, 4))}
+        return QLaurent({e: rng.choice((-1, 1)) * (rng.getrandbits(70) | 1) for e in exps})
+
+    def build():
+        return TorusElement(lam, [(random_vector(rng, 3, 2), coefficient())
+                                  for _ in range(rng.randint(1, 4))])
+
+    for _ in range(25):
+        x, y = build(), build()
+        _check_arithmetic(rng, x, y, build, RefLaurent(3, lam), divisions, _terms, set())
+    assert widest and max(widest) <= 1
+
+
+def test_v_decode_reads_balanced_digits():
+    assert _v_decode([("zero", (7, 0))], 8) == []
+    rng = random.Random(5)
+    for k in (8, 16, 32, 64, 72, 2048):
+        half = 1 << (k - 1)
+        sums, want = {}, []
+        for key in range(40):
+            digits = [rng.choice((0, half - 1, 1 - half, rng.randint(1 - half, half - 1)))
+                      for _ in range(rng.randint(1, 12))]
+            lo = rng.randint(-50, 50)
+            sums[key] = (lo, sum(d << (k * i) for i, d in enumerate(digits)))
+            terms = {lo + i: d for i, d in enumerate(digits) if d}
+            if terms:
+                want.append((key, QLaurent(terms)))
+        assert _v_decode(sums.items(), k) == want
