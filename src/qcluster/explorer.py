@@ -329,42 +329,45 @@ def _cluster_summary(seed, limit: int = 28) -> str:
     return ", ".join(parts)
 
 
+def _display_order(graph: ExchangeGraph):
+    """(ids, node keys by (depth, id), edges by (id, k, id)): both exports' order."""
+    ids = graph.node_ids()
+    nodes = sorted(graph.nodes, key=lambda key: (graph.depths[key], ids[key]))
+    edges = sorted(graph.edges, key=lambda e: (ids[e[0]], e[1], ids[e[2]]))
+    return ids, nodes, edges
+
+
 def export_json(graph: ExchangeGraph, full: bool = False) -> str:
     """Stable JSON rendering of a graph; full=True embeds the variables."""
-    ids = graph.node_ids()
-    nodes = [
-        {
-            "id": ids[key],
-            "depth": graph.depths[key],
-            "seed": dump_seed(graph.nodes[key], full=full),
-        }
-        for key in sorted(graph.nodes, key=lambda key: (graph.depths[key], ids[key]))
-    ]
-    edges = [
-        {"from": ids[a], "k": k + 1, "to": ids[c]}
-        for a, k, c in sorted(graph.edges, key=lambda e: (ids[e[0]], e[1], ids[e[2]]))
-    ]
+    ids, keys, edges = _display_order(graph)
     data = {
         "status": graph.status.value,
         "root": ids[graph.root],
         "node_count": graph.node_count,
         "edge_count": graph.edge_count,
-        "nodes": nodes,
-        "edges": edges,
+        "nodes": [
+            {
+                "id": ids[key],
+                "depth": graph.depths[key],
+                "seed": dump_seed(graph.nodes[key], full=full),
+            }
+            for key in keys
+        ],
+        "edges": [{"from": ids[a], "k": k + 1, "to": ids[c]} for a, k, c in edges],
     }
     return json.dumps(data, indent=2, sort_keys=True)
 
 
 def export_dot(graph: ExchangeGraph) -> str:
     """GraphViz rendering: nodes carry id and cluster summary, edges k."""
-    ids = graph.node_ids()
+    ids, keys, edges = _display_order(graph)
     lines = ["digraph exchange {"]
     lines.append('  graph [label="status: %s"];' % graph.status.value)
-    for key in sorted(graph.nodes, key=lambda key: (graph.depths[key], ids[key])):
+    for key in keys:
         label = "%s\\n%s" % (ids[key], _cluster_summary(graph.nodes[key]))
         label = label.replace('"', '\\"')
         lines.append('  "%s" [label="%s"];' % (ids[key], label))
-    for a, k, c in sorted(graph.edges, key=lambda e: (ids[e[0]], e[1], ids[e[2]])):
+    for a, k, c in edges:
         lines.append('  "%s" -> "%s" [label="%d"];' % (ids[a], ids[c], k + 1))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -112,15 +112,25 @@ class SeedVerification:
     reproduces the stored d.  quasi_commutation: vars[i], vars[j]
     q-commute with exponent lam[i][j] for all i < j.  bar_invariance:
     every variable is fixed by the bar involution.  Index pairs are
-    0-based.
+    0-based.  Each *_ok flag holds exactly when its detail or failure
+    is None.
     """
 
-    compatibility_ok: bool
     compatibility_detail: str | None
-    quasi_commutation_ok: bool
     quasi_commutation_failure: tuple[int, int] | None
-    bar_invariance_ok: bool
     bar_invariance_failure: int | None
+
+    @property
+    def compatibility_ok(self) -> bool:
+        return self.compatibility_detail is None
+
+    @property
+    def quasi_commutation_ok(self) -> bool:
+        return self.quasi_commutation_failure is None
+
+    @property
+    def bar_invariance_ok(self) -> bool:
+        return self.bar_invariance_failure is None
 
     @property
     def ok(self) -> bool:
@@ -149,33 +159,26 @@ class SeedVerification:
 
 def verify_quantum_seed(seed: QuantumSeed) -> SeedVerification:
     """Re-derive the quantum-seed axioms from scratch; never raises."""
-    compat_ok = True
     compat_detail = None
     try:
         d = check_compatibility(seed.b, seed.lam)
         if d != seed.d:
-            compat_ok = False
             compat_detail = f"pairing gives d={d}, seed stores d={seed.d}"
     except IncompatibleError as exc:
-        compat_ok = False
         compat_detail = str(exc)
-    qc_ok = True
     qc_fail = None
     m = seed.m
     for i in range(m):
-        if not qc_ok:
+        if qc_fail is not None:
             break
         for j in range(i + 1, m):
             t = seed.vars[i].quasi_commutation(seed.vars[j])
             if t != seed.lam.entry(i, j):
-                qc_ok = False
                 qc_fail = (i, j)
                 break
-    bar_ok = True
     bar_fail = None
     for i in range(m):
         if seed.vars[i].bar() != seed.vars[i]:
-            bar_ok = False
             bar_fail = i
             break
-    return SeedVerification(compat_ok, compat_detail, qc_ok, qc_fail, bar_ok, bar_fail)
+    return SeedVerification(compat_detail, qc_fail, bar_fail)

@@ -4,9 +4,7 @@ _SparseLaurent is the one sparse kernel under all three Laurent rings:
 QLaurent (here), and TorusElement and CommLaurent (torus, through
 _FramedLaurent).  It holds +, -, *, powers, exact division, equality
 and hashing; each ring supplies only its constructors, coefficient
-ring, term keys, product rule and rendering.  The Kronecker helpers at
-the end encode QLaurent coefficients as single ints for the torus
-product.
+ring, term keys, product rule and rendering.
 
 QLaurent is the one-variable case: a Laurent polynomial in the single
 formal variable v = q^(1/2), keyed by the integer v-exponent itself,
@@ -444,7 +442,7 @@ class QLaurent(_SparseLaurent):
         """self * other * v^shift in one pass of the schoolbook loop.
 
         The torus multiplies its coefficients by Kronecker substitution
-        (_v_scan and the helpers after it) instead; this loop stays
+        (torus._v_scan and the helpers beside it) instead; this loop stays
         independent of it.
         """
         acc: dict[int, int] = {}
@@ -516,168 +514,3 @@ class QLaurent(_SparseLaurent):
 
     def __repr__(self) -> str:
         return f"QLaurent({self._terms!r})"
-
-
-# -- Kronecker substitution: QLaurent coefficients as single ints --------------
-#
-# The torus product multiplies Z[v^±1] coefficients by substituting v = 2^k
-# (Harvey, "Faster polynomial multiplication via multipoint Kronecker
-# substitution", J. Symbolic Comput. 44, 2009): a run of terms c_e v^e becomes
-# its lowest v-exponent lo and the image sum c_e 2^(k (e - lo)), one product
-# of runs becomes one int product, and a sum of products is decoded once into
-# balanced base-2^k digits.  Decoding is exact while every digit d of the sum
-# satisfies |d| < 2^(k - 1); _v_width derives k from the operands so that it
-# does, with no tolerance.
-#
-# An image costs k bits per v-power it spans, so the cost is kept in
-# proportion to the terms, not to the span: a coefficient is cut into runs
-# whose consecutive exponents lie at most _GAP apart (_v_runs), and a sum
-# takes in a contribution only if the two lie at most _GAP digits apart
-# (TorusElement._mul_scanned); one further away is summed apart, per
-# lowest v-exponent, and decoded on its own (_v_decode_apart).  Every int
-# then spans at most 2 _GAP + 1 digits per product of two terms it holds,
-# however far apart the exponents lie (they grow with the entries of
-# Lambda and of the symmetrizer).
-
-_GAP = 8
-
-
-def _v_scan(terms: dict, unpack) -> list:
-    """One pass over a term map {key: QLaurent} for Kronecker products.
-
-    Returns [entries, big, longest, k, runs]: big is the largest
-    |coefficient| and longest the most terms in one coefficient.  An
-    entry is (key, unpack(key), lo, x) for a 1-term coefficient x v^lo,
-    its own image whatever k is, and (key, unpack(key), None, terms) for
-    a longer one; _v_cut lists the runs at a width k and keeps the last
-    list it made in the two trailing slots.
-    """
-    entries: list = []
-    big = longest = 1
-    for key, c in terms.items():
-        t = c._terms
-        if len(t) == 1:
-            ((lo, x),) = t.items()
-            entries.append((key, unpack(key), lo, x))
-            x = abs(x)
-        else:
-            entries.append((key, unpack(key), None, t))
-            if len(t) > longest:
-                longest = len(t)
-            x = max(map(abs, t.values()))
-        if x > big:
-            big = x
-    return [entries, big, longest, None, None]
-
-
-def _v_cut(scan: list, k: int) -> list:
-    """(key, unpack(key), lowest v-exponent, image at v = 2^k) for every run of a scan."""
-    if scan[3] != k:
-        runs: list = []
-        for entry in scan[0]:
-            key, vec, lo, t = entry
-            if lo is None:
-                runs += [(key, vec, start, x) for start, x in _v_runs(t, k)]
-            else:
-                runs.append(entry)
-        scan[3:] = k, runs
-    return scan[4]
-
-
-def _v_runs(t: dict, k: int) -> list[tuple[int, int]]:
-    """[(lo, image at v = 2^k)] for the runs of t: exponent gaps of at most _GAP."""
-    lo = min(t)
-    if max(t) - lo <= _GAP * (len(t) - 1):  # a span this short is one run
-        return [(lo, sum(c << k * (e - lo) for e, c in t.items()))]
-    out: list = []
-    x = last = None
-    for e in sorted(t):
-        if x is None or e - last > _GAP:
-            if x is not None:
-                out.append((lo, x))
-            lo, x = e, 0
-        x += t[e] << k * (e - lo)
-        last = e
-    out.append((lo, x))
-    return out
-
-
-def _v_width(bound: int) -> int:
-    """The digit width k for a product whose digits are at most bound in size.
-
-    The product must give each output digit at most min(len(left),
-    len(right)) coefficient pairs, as a monomial-graded product does (a
-    left term meets at most one right term per output term).  A pair adds
-    at most min(longest) products of two coefficients, so every digit of
-    every partial sum satisfies |digit| <= bound = max|left| * max|right|
-    * min(term counts) * min(longest) < 2^(k - 1) for k = bits(bound) +
-    1, rounded up to 8, 16, 32, 64 or a multiple of 8 for _v_digits.
-    """
-    bits = bound.bit_length() + 1
-    for k in _WORDS:
-        if bits <= k:
-            return k
-    return -(-bits // 8) * 8
-
-
-_WORDS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes of k-bit unsigned words
-
-
-def _v_decode(sums, k: int) -> list[tuple[object, QLaurent]]:
-    """[(key, v^lo * sum d_i v^i)] for the pairs (key, (lo, x)) in sums, x != 0.
-
-    The d_i are the balanced base-2^k digits of x (_v_digits).
-    """
-    raw, out = QLaurent._raw, []
-    half = 1 << (k - 1)
-    for key, (lo, x) in sums:
-        if -half < x < half:
-            if x:
-                out.append((key, raw(None, {lo: x})))
-        else:
-            out.append((key, raw(None, _v_digits(lo, x, k))))
-    return out
-
-
-def _v_decode_apart(far: dict, k: int) -> list[tuple[object, QLaurent]]:
-    """[(key, sum of x v^lo over the pieces lo: x)] for far = {key: {lo: x}}.
-
-    The pieces of one key may overlap once decoded, so their digits are
-    added up; a piece of one digit is its own digit.
-    """
-    raw, out = QLaurent._raw, []
-    half = 1 << (k - 1)
-    for key, pieces in far.items():
-        digits: dict = {}
-        get = digits.get
-        for lo, x in pieces.items():
-            if -half < x < half:
-                digits[lo] = get(lo, 0) + x
-            else:
-                for e, d in _v_digits(lo, x, k).items():
-                    digits[e] = get(e, 0) + d
-        digits = {e: d for e, d in digits.items() if d}
-        if digits:
-            out.append((key, raw(None, digits)))
-    return out
-
-
-def _v_digits(lo: int, x: int, k: int) -> dict[int, int]:
-    """{lo + i: d_i} for the nonzero balanced base-2^k digits d_i of x.
-
-    For k a _v_width and x of two digits or more.  Adding 2^(k - 1) to
-    every digit makes each one an unsigned k-bit word in the bytes of the
-    sum: read at once as machine words for k up to 64 (the
-    kronecker-quantum benchmark's exploration takes 27 % less time than
-    with slices alone), as slices beyond.
-    """
-    half = 1 << (k - 1)
-    size, code = k >> 3, _WORDS.get(k)
-    n = x.bit_length() // k + 1
-    halves = int.from_bytes(half.to_bytes(size, "little") * n, "little")
-    data = (x + halves).to_bytes(n * size, "little")
-    if code:
-        words = struct.unpack(f"<{n}{code}", data)
-    else:
-        words = [int.from_bytes(data[i : i + size], "little") for i in range(0, n * size, size)]
-    return {lo + i: w - half for i, w in enumerate(words) if w != half}

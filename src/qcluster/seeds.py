@@ -291,30 +291,20 @@ def principal_lambda(
             raise ValueError(f"D must be {n} positive integers")
         _check_symmetrizer(rows, dd, "D does not skew-symmetrize B")
     if lambda0 is None:
-        l0 = tuple((0,) * n for _ in range(n))
-    elif isinstance(lambda0, SkewMatrix):
-        l0 = lambda0.rows()
-    else:
-        l0 = SkewMatrix(lambda0).rows()
-    if len(l0) != n:
-        raise ValueError(f"lambda0 is {len(l0)}x{len(l0)}, expected {n}x{n}")
-
-    def l0b(i: int, j: int) -> int:
-        return sum(l0[i][t] * rows[t][j] for t in range(n))
-
-    def btl0(i: int, j: int) -> int:
-        return sum(rows[t][i] * l0[t][j] for t in range(n))
-
-    def btl0b(i: int, j: int) -> int:
-        return sum(rows[s][i] * l0b(s, j) for s in range(n))
-
-    big = [[0] * (2 * n) for _ in range(2 * n)]
+        lambda0 = SkewMatrix([[0] * n for _ in range(n)])
+    elif not isinstance(lambda0, SkewMatrix):
+        lambda0 = SkewMatrix(lambda0)
+    if lambda0.m != n:
+        raise ValueError(f"lambda0 is {lambda0.m}x{lambda0.m}, expected {n}x{n}")
+    # the L0 part of all four blocks is E^T L0 E for E = [I | -B]
+    columns = [[1 if t == j else 0 for t in range(n)] for j in range(n)]
+    columns += [[-rows[t][j] for t in range(n)] for j in range(n)]
+    big = [list(row) for row in lambda0.transform(columns).rows()]
     for i in range(n):
+        big[i][n + i] -= dd[i]
+        big[n + i][i] += dd[i]
         for j in range(n):
-            big[i][j] = l0[i][j]
-            big[i][n + j] = -(dd[j] if i == j else 0) - l0b(i, j)
-            big[n + i][j] = (dd[i] if i == j else 0) - btl0(i, j)
-            big[n + i][n + j] = -dd[i] * rows[i][j] + btl0b(i, j)
+            big[n + i][n + j] -= dd[i] * rows[i][j]
     lam = SkewMatrix(big)
     got = check_compatibility(principal_extension(rows), lam)
     if got != dd:
@@ -331,25 +321,12 @@ def principal_extension(bmat: Sequence[Sequence[int]]) -> ExchangeMatrix:
     return ExchangeMatrix(rows, range(n))
 
 
-@dataclass(frozen=True)
-class ClassicalSeed:
-    """A cluster of m Laurent polynomials together with its exchange matrix.
-
-    Variables are expressed in the coordinates of the initial cluster;
-    the initial seed has vars[i] = x_i.
-    """
-
-    b: ExchangeMatrix
-    vars: tuple[CommLaurent, ...]
+class _Seed:
+    """What the two seed types share: m variables over the exchange matrix b."""
 
     def __post_init__(self):
         if len(self.vars) != self.b.m:
             raise ValueError(f"expected {self.b.m} variables, got {len(self.vars)}")
-
-    @classmethod
-    def initial(cls, b: ExchangeMatrix) -> "ClassicalSeed":
-        m = b.m
-        return cls(b, tuple(CommLaurent.generator(m, i) for i in range(m)))
 
     @property
     def m(self) -> int:
@@ -363,13 +340,30 @@ class ClassicalSeed:
     def ex(self) -> tuple[int, ...]:
         return self.b.ex
 
-    def cluster(self) -> tuple[CommLaurent, ...]:
+    def cluster(self) -> tuple:
         """The exchangeable variables, in ex order."""
         return tuple(self.vars[k] for k in self.b.ex)
 
 
 @dataclass(frozen=True)
-class QuantumSeed:
+class ClassicalSeed(_Seed):
+    """A cluster of m Laurent polynomials together with its exchange matrix.
+
+    Variables are expressed in the coordinates of the initial cluster;
+    the initial seed has vars[i] = x_i.
+    """
+
+    b: ExchangeMatrix
+    vars: tuple[CommLaurent, ...]
+
+    @classmethod
+    def initial(cls, b: ExchangeMatrix) -> "ClassicalSeed":
+        m = b.m
+        return cls(b, tuple(CommLaurent.generator(m, i) for i in range(m)))
+
+
+@dataclass(frozen=True)
+class QuantumSeed(_Seed):
     """A quantum cluster with its exchange matrix and current frame.
 
     The variables are torus elements over the INITIAL frame (they never
@@ -384,8 +378,7 @@ class QuantumSeed:
     d: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.vars) != self.b.m:
-            raise ValueError(f"expected {self.b.m} variables, got {len(self.vars)}")
+        super().__post_init__()
         if self.lam.m != self.b.m:
             raise ValueError(f"lambda is {self.lam.m}x{self.lam.m}, expected m={self.b.m}")
 
@@ -395,21 +388,6 @@ class QuantumSeed:
         m = b.m
         gens = tuple(TorusElement.generator(lam, i) for i in range(m))
         return cls(lam, b, gens, d)
-
-    @property
-    def m(self) -> int:
-        return self.b.m
-
-    @property
-    def n(self) -> int:
-        return self.b.n
-
-    @property
-    def ex(self) -> tuple[int, ...]:
-        return self.b.ex
-
-    def cluster(self) -> tuple[TorusElement, ...]:
-        return tuple(self.vars[k] for k in self.b.ex)
 
 
 def principal_seed(

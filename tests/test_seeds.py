@@ -384,6 +384,10 @@ def test_principal_lambda_random_with_lambda0():
         d = find_skew_symmetrizer(rows)
         lam = principal_lambda(rows, lam0, d)
         assert check_compatibility(principal_extension(rows), lam) == d
+        # with compatibility, the top-left block pins the frame: the skew
+        # frames L with [B; I]^T L = 0 are K S K^T for K = [I; -B^T], and
+        # their top-left block is S
+        assert tuple(row[:n] for row in lam.rows()[:n]) == lam0.rows()
 
 
 # -- seeds and serialization --------------------------------------------
@@ -397,6 +401,13 @@ def test_initial_seeds():
     q = QuantumSeed.initial(b, L2)
     assert q.d == (1, 1)
     assert q.vars == (TorusElement.generator(L2, 0), TorusElement.generator(L2, 1))
+    with pytest.raises(ValueError, match="expected 2 variables, got 1"):
+        ClassicalSeed(b, s.vars[:1])
+    with pytest.raises(ValueError, match="expected 2 variables, got 1"):
+        QuantumSeed(L2, b, q.vars[:1], q.d)
+    lam3 = SkewMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValueError, match="lambda is 3x3, expected m=2"):
+        QuantumSeed(lam3, b, q.vars, q.d)
 
 
 def test_quantum_seed_zero_lambda_rejected():

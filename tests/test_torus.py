@@ -24,8 +24,8 @@ from helpers import (
     random_vector,
 )
 from oracles import RefLaurent, _support_box, eval_laurent, ref_basis_twist, ref_transform
-import qcluster.qlaurent
-from qcluster.qlaurent import _GAP, _v_decode, _v_digits, _v_runs, _v_scan, _v_width
+import qcluster.torus
+from qcluster.torus import _GAP, _v_decode, _v_digits, _v_runs, _v_scan, _v_width
 
 L2 = SkewMatrix([[0, 1], [-1, 0]])
 
@@ -696,7 +696,7 @@ def test_kronecker_cost_follows_terms_not_v_span(monkeypatch):
 
     original = TorusElement._mul_scanned
     monkeypatch.setattr(TorusElement, "_mul_scanned", mul_scanned)
-    monkeypatch.setattr(qcluster.qlaurent, "_v_digits", digits)
+    monkeypatch.setattr(qcluster.torus, "_v_digits", digits)
     big = 10**18
     lam = SkewMatrix([[0, big, 1], [-big, 0, -big], [-1, big, 0]])
     rng = random.Random(18)
