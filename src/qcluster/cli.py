@@ -3,9 +3,9 @@
 Verbs: check, mutate, explore, specialize, principal-lambda.  Input is
 always a JSON seed file (1-based indices); output goes to stdout in the
 requested format and is byte-stable for identical inputs.  Domain
-failures (incompatible pair, no symmetrizer, division failure) exit 1
-with a structured JSON error on stderr; malformed files and bad usage
-exit 2.
+failures (incompatible pair, no symmetrizer, division failure, an
+exponent beyond the engine's range) exit 1 with a structured JSON error
+on stderr; malformed files and bad usage exit 2.
 """
 
 from __future__ import annotations
@@ -285,6 +285,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except ClusterError as exc:
         _emit_error(exc.code, str(exc))
+        return 1
+    except OverflowError as exc:
+        _emit_error("out_of_range", str(exc))
         return 1
     except (OSError, ValueError) as exc:
         _emit_error("parse_error", str(exc))

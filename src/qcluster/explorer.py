@@ -4,10 +4,11 @@ Seeds that differ only by a simultaneous permutation of exchangeable
 indices (applied to variables, to rows and columns of the exchange
 matrix, and to the frame) are the same vertex of the exchange graph.
 The canonical form sorts the exchangeable indices by the serialized
-form of their variables, which is well defined because variables are
-expressed in initial-cluster coordinates and those never move.  Frozen
-indices keep their positions: frozen variables are shared by the whole
-mutation class, so permuting them would only manufacture spurious
+form of their variables alone: well defined because variables are in
+initial-cluster coordinates, which never move, and total because a
+cluster's variables are pairwise distinct (a repeat raises ValueError).
+Frozen indices keep their positions: frozen variables are shared by the
+whole mutation class, so permuting them would only manufacture spurious
 distinctions.
 
 Exploration is breadth-first with ascending mutation directions, so
@@ -47,6 +48,10 @@ def _var_key(v) -> bytes:
 def canonical_form(seed):
     """Canonical representative of a seed's relabeling class.
 
+    The exchangeable indices are sorted by their variables' bytes alone.
+    A cluster's variables are pairwise distinct; a repeated one raises
+    ValueError, since no order could make such a key label-free.
+
     OUTPUT: (canonical seed, pi) where pi maps old row indices to new
     ones (identity on frozen indices).
     """
@@ -54,9 +59,10 @@ def canonical_form(seed):
     ex = b.ex
     n = b.n
     m = b.m
-    var_keys = [_var_key(seed.vars[ex[j]]) for j in range(n)]
-    col_keys = [_json_bytes(list(b.column(j))) for j in range(n)]
-    order = sorted(range(n), key=lambda j: (var_keys[j], col_keys[j]))
+    var_keys = [_var_key(seed.vars[k]) for k in ex]
+    if len(set(var_keys)) != n:
+        raise ValueError("the exchangeable variables are not pairwise distinct")
+    order = sorted(range(n), key=var_keys.__getitem__)
     pi = list(range(m))
     inv = list(range(m))
     for t, j in enumerate(order):

@@ -125,6 +125,23 @@ def _add_into(acc: dict, items) -> dict:
     return acc
 
 
+def _signed_sum(terms) -> str:
+    """Render (int coefficient, monomial text or "") pairs as a signed sum.
+
+    "-" before a negative first term, " + " / " - " between terms, and
+    the coefficient dropped when its magnitude is 1 before a monomial.
+    """
+    parts = []
+    for c, mono in terms:
+        mag = abs(c)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        if parts:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            parts.append(body if c > 0 else f"-{body}")
+    return " ".join(parts) or "0"
+
+
 def _int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
     """The values as a tuple, or ValueError naming `what` if one is not an int.
 
@@ -497,20 +514,8 @@ class QLaurent(_SparseLaurent):
         return "q" if p == "1" else f"q^{{{p}}}"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self._terms.items()):
-            if e == 0:
-                body = str(abs(c))
-            else:
-                mag = abs(c)
-                body = self._q_power_str(e) if mag == 1 else f"{mag}*{self._q_power_str(e)}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        q = self._q_power_str
+        return _signed_sum([(c, q(e) if e else "") for e, c in sorted(self._terms.items())])
 
     def __repr__(self) -> str:
         return f"QLaurent({self._terms!r})"

@@ -204,7 +204,8 @@ def check_compatibility(b: ExchangeMatrix, lam: SkewMatrix) -> tuple[int, ...]:
     """Verify the delta-pairing between an exchange matrix and a frame.
 
     The m x n matrix with entries sum_k b_kj lambda_ki must vanish except
-    at (ex[j], j), where the entry d_j must be strictly positive.
+    at (ex[j], j), where the entry d_j must be strictly positive.  Its
+    column j is -(Lambda b_j) for the column b_j of b.
 
     OUTPUT: the diagonal d as a tuple aligned with ex.
     RAISES: IncompatibleError carrying the first offending (i, j).
@@ -215,9 +216,7 @@ def check_compatibility(b: ExchangeMatrix, lam: SkewMatrix) -> tuple[int, ...]:
     ex = b.ex
     d = []
     for j in range(n):
-        col = b.column(j)
-        for i in range(m):
-            s = sum(col[k] * lam.entry(k, i) for k in range(m) if col[k])
+        for i, s in enumerate(-x for x in lam.image(b.column(j))):
             if i == ex[j]:
                 if s <= 0:
                     raise IncompatibleError(
@@ -249,7 +248,7 @@ def lambda_mutate(lam: SkewMatrix, b: ExchangeMatrix, k: int) -> SkewMatrix:
     The new frame is E^T lam E, where E is the identity but for its k-th
     column c, the exponent of one exchange monomial: -e_k plus the
     positive part of column k (see _exchange_exponents).  Only row and
-    column k change: lam'_ik = sum_t lam_it c_t = -lam'_ki.  The
+    column k change: lam'_ik = (lam c)_i = -lam'_ki.  The
     negative part gives the same frame whenever (lam, b) is a compatible
     pair; the tests assert that rather than assume it.
     """
@@ -259,10 +258,9 @@ def lambda_mutate(lam: SkewMatrix, b: ExchangeMatrix, k: int) -> SkewMatrix:
         raise ValueError(f"matrix sizes disagree: {b.m} vs {m}")
     c[k] -= 1
     rows = [list(row) for row in lam.rows()]
-    for i, row in enumerate(lam.rows()):
+    for i, x in enumerate(lam.image(c)):
         if i != k:
-            rows[i][k] = sum(x * ct for x, ct in zip(row, c) if ct)
-            rows[k][i] = -rows[i][k]
+            rows[i][k], rows[k][i] = x, -x
     return SkewMatrix(rows)
 
 
@@ -441,6 +439,9 @@ def load_seed(obj: Mapping) -> ClassicalSeed | QuantumSeed:
         raise ValueError(f"seed file is missing key {exc}") from None
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
+    rows = json_ints(bmat, "B", 2)
+    if len(rows) != m or any(len(row) != n for row in rows):
+        raise ValueError(f"B must be {m}x{n}")
     ex_raw = obj.get("ex")
     if ex_raw is None:
         ex = tuple(range(n))
@@ -449,9 +450,6 @@ def load_seed(obj: Mapping) -> ClassicalSeed | QuantumSeed:
         if ex != sorted(ex) or not all(1 <= k <= m for k in ex):
             raise ValueError(f"ex must be sorted within [1, {m}]")
         ex = tuple(k - 1 for k in ex)
-    rows = json_ints(bmat, "B", 2)
-    if len(rows) != m or any(len(row) != n for row in rows):
-        raise ValueError(f"B must be {m}x{n}")
     b = ExchangeMatrix(rows, ex)
     lam_raw = obj.get("Lambda")
     if lam_raw is None:

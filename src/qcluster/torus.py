@@ -41,6 +41,7 @@ from .qlaurent import (
     _int_tuple,
     _packing,
     _Packing,
+    _signed_sum,
     _SparseLaurent,
     from_decimal,
 )
@@ -76,27 +77,28 @@ class SkewMatrix:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return self._rows
 
+    def image(self, c: Sequence[int]) -> list[int]:
+        """The vector Lambda c: Lambda(a, c) = a . Lambda c = -c . Lambda a.
+
+        Every product of Lambda with a vector goes through here: the form,
+        basis changes, compatibility, frame mutation and the torus twist.
+        """
+        if len(c) != len(self._rows):
+            raise ValueError(f"expected vectors of length {len(self._rows)}")
+        return [sum(map(mul, row, c)) for row in self._rows]
+
     def form(self, a: Sequence[int], b: Sequence[int]) -> int:
-        """The bilinear form Lambda(a, b) = sum_ij lambda_ij a_i b_j."""
-        m = len(self._rows)
-        if len(a) != m or len(b) != m:
-            raise ValueError(f"expected vectors of length {m}")
-        total = 0
-        for i, ai in enumerate(a):
-            if ai:
-                row = self._rows[i]
-                total += ai * sum(row[j] * bj for j, bj in enumerate(b) if bj)
-        return total
+        """The bilinear form Lambda(a, b) = sum_ij lambda_ij a_i b_j = a . Lambda b."""
+        if len(a) != len(self._rows):
+            raise ValueError(f"expected vectors of length {len(self._rows)}")
+        return sum(map(mul, a, self.image(b)))
 
     def transform(self, columns: Sequence[Sequence[int]]) -> "SkewMatrix":
         """The matrix C^T Lambda C for the basis change with the given columns.
 
         Lambda c is formed once per column c, not once per entry.
         """
-        m = len(self._rows)
-        if any(len(c) != m for c in columns):
-            raise ValueError(f"expected vectors of length {m}")
-        images = [[sum(map(mul, row, c)) for row in self._rows] for c in columns]
+        images = [self.image(c) for c in columns]
         return SkewMatrix([[sum(map(mul, ci, lc)) for lc in images] for ci in columns])
 
     def __eq__(self, other) -> bool:
@@ -461,20 +463,20 @@ class TorusElement(_FramedLaurent):
         with the gaps between v-exponents, only with its terms.
         """
         # The twist Lambda(a, b) is a . (Lambda b) = b . (-Lambda a): one
-        # matrix-vector product per term of the operand with fewer terms
-        # (outer), one dot product per pair of runs.
-        outer, inner, sign = left, right, -1
+        # image per term of the operand with fewer terms (outer), one dot
+        # product per pair of runs.
+        outer, inner, flip = left, right, True
         if len(left[0]) > len(right[0]):
-            outer, inner, sign = right, left, 1
+            outer, inner, flip = right, left, False
         k = _v_width(left[1] * right[1] * len(outer[0]) * min(left[2], right[2]))
         outer, inner = _v_cut(outer, k), _v_cut(inner, k)
-        rows = self._frame.rows()
+        image = self._frame.image
         reach = _GAP * k
         sums: dict = {}  # key -> (lo, int)
         far: dict = {}  # key -> {lo: int}, the contributions too far from sums[key]
         get = sums.get
         for s, sv, lo_s, x in outer:
-            ls = [sign * sum(map(mul, row, sv)) for row in rows]
+            ls = [-w for w in image(sv)] if flip else image(sv)
             s -= packing.base
             for t, tv, lo_t, y in inner:
                 key = s + t
@@ -516,9 +518,8 @@ class TorusElement(_FramedLaurent):
         """
         unpack, mul_scanned = packing.unpack, self._mul_scanned
         cg, divisor = g[b], _v_scan(g, unpack)
-        # Lambda(a, b) = sum_i a_i lb[i] with lb = Lambda b; Lambda(b, a) = -Lambda(a, b)
-        sign, bv = 1 if right else -1, unpack(b)
-        lb = [sign * sum(map(mul, row, bv)) for row in self._frame.rows()]
+        # Lambda(a, b) = a . lb with lb = Lambda b; Lambda(b, a) = -Lambda(a, b)
+        lb = [w if right else -w for w in self._frame.image(unpack(b))]
 
         def step(rem: dict, rc: QLaurent, a: int, av) -> QLaurent:
             try:
@@ -587,8 +588,8 @@ class TorusElement(_FramedLaurent):
             return "0"
         parts = []
         for e, c in self._sorted_items():
-            mono = "X^(" + ",".join(str(x) for x in e) + ")"
-            if all(x == 0 for x in e):
+            mono = "X^(" + ",".join(map(str, e)) + ")"
+            if not any(e):
                 parts.append(str(c))
             elif c.is_one():
                 parts.append(mono)
@@ -637,24 +638,8 @@ class CommLaurent(_FramedLaurent):
         return other if isinstance(other, CommLaurent) else None
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
+        terms = []
         for e, c in self._sorted_items():
-            factors = [
-                f"x{i + 1}" if x == 1 else f"x{i + 1}^{x}"
-                for i, x in enumerate(e)
-                if x
-            ]
-            mono = "*".join(factors)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+            factors = [f"x{i}" if x == 1 else f"x{i}^{x}" for i, x in enumerate(e, 1) if x]
+            terms.append((c, "*".join(factors)))
+        return _signed_sum(terms)

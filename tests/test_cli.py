@@ -1,7 +1,9 @@
 """End-to-end runs of the command-line interface via main(argv)."""
 
+import copy
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -154,6 +156,34 @@ def test_ex_out_of_range_quotes_1_based_bounds(capsys, tmp_path, obj):
     payload = json.loads(err)
     assert payload["error"] == "parse_error"
     assert payload["message"] == "ex must be sorted within [1, 2]"
+
+
+@pytest.mark.parametrize("verb", ["check", "explore"])
+def test_huge_n_is_a_parse_error(capsys, tmp_path, verb):
+    # n is compared with the shape of B before anything is sized by it
+    path = write_json(tmp_path, "huge.json", {"m": 2, "n": 10**30, "B": [[0, 1], [-1, 0]]})
+    code, out, err = run(capsys, [verb, path])
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "parse_error"
+    assert payload["message"] == f"B must be 2x{10**30}"
+
+
+@pytest.mark.parametrize("argv", [["mutate", "--at", "1"], ["explore"]], ids=repr)
+def test_exponent_out_of_range_exits_1(capsys, tmp_path, argv):
+    # a well-formed seed whose frozen row drives an exponent past the
+    # packed range is a domain failure, not a malformed file
+    far = {"m": 3, "n": 2, "B": [[0, 1], [-1, 0], [10**30, 0]]}
+    path = write_json(tmp_path, "far.json", far)
+    code, out, err = run(capsys, ["check", path])
+    assert code == 0
+    code, out, err = run(capsys, [argv[0], path, *argv[1:]])
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "out_of_range"
+    assert "packed range" in payload["message"]
 
 
 # -- mutate --------------------------------------------------------------
@@ -496,3 +526,58 @@ def test_golden_cli_bytes(capsys, tmp_path):
     digests = {verb: hashlib.sha256(out.encode()).hexdigest()
                for verb, out in stdout.items()}
     assert digests == GOLDEN_SHA256
+
+
+# -- seeded fuzz -------------------------------------------------------------
+
+FUZZ_BASES = ["a2", "b2", "g2", "a2q", "b2q", "kron"]
+FUZZ_VALUES = [True, 1.5, "1", None, [], {}, 10**30, -1, 0]
+
+
+def fuzz_edit(rng, obj):
+    """One random edit of a seed dict, in place."""
+    slots = [(obj, key) for key in obj]
+    for value in obj.values():
+        if isinstance(value, list):
+            slots += [(value, i) for i in range(len(value))]
+            for row in value:
+                if isinstance(row, list):
+                    slots += [(row, j) for j in range(len(row))]
+    lists = [c[k] for c, k in slots if isinstance(c[k], list)]
+    ints = [(c, k) for c, k in slots if type(c[k]) is int]
+    kind = rng.choice(["drop_key", "retype", "append", "shorten", "flip"])
+    if kind == "drop_key" and obj:
+        del obj[rng.choice(sorted(obj))]
+    elif kind == "retype" and slots:
+        c, k = rng.choice(slots)
+        c[k] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    elif kind == "append" and lists:
+        rng.choice(lists).append(rng.choice([-1, 0, 1, 2]))
+    elif kind == "shorten" and any(lists):
+        row = rng.choice([row for row in lists if row])
+        del row[rng.randrange(len(row))]
+    elif kind == "flip" and ints:
+        c, k = rng.choice(ints)
+        c[k] = -c[k]
+
+
+def test_seed_file_fuzz_never_escapes(capsys, tmp_path):
+    rng = random.Random(0)
+    path = tmp_path / "fuzz.json"
+    for case in range(300):
+        obj = copy.deepcopy(GOLDEN_FILES[rng.choice(FUZZ_BASES)])
+        for _ in range(rng.randint(1, 2)):
+            fuzz_edit(rng, obj)
+        path.write_text(json.dumps(obj))
+        for argv in (["check", str(path)], ["mutate", str(path), "--at", "1"]):
+            try:
+                code = main(argv)
+            except Exception as exc:
+                pytest.fail(f"case {case} {obj} {argv[0]}: {type(exc).__name__}: {exc}")
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (case, obj, argv[0])
+            if code:
+                assert err, (case, obj, argv[0])
+                payload = json.loads(err.splitlines()[-1])
+                assert isinstance(payload, dict), (case, obj, argv[0])
+                assert {"error", "message"} <= payload.keys(), (case, obj, argv[0])

@@ -65,6 +65,18 @@ def test_canonical_form_is_idempotent():
     assert sorted(pi) == list(range(s.m))
 
 
+def test_canonical_form_rejects_repeated_variable():
+    # a cluster's variables are pairwise distinct; a repeat is not a seed,
+    # and no order of its indices could make a key independent of labels
+    x1 = a2_classical().vars[0]
+    for rows in (A2_ROWS, [[0, -1], [1, 0]]):
+        twin = ClassicalSeed(ExchangeMatrix(rows), (x1, x1))
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            canonical_form(twin)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            canonical_key(twin)
+
+
 def test_canonical_key_separates_distinct_seeds():
     s = a2_classical()
     assert canonical_key(classical_mutate(s, 0)) != canonical_key(s)

@@ -47,6 +47,26 @@ def test_skew_matrix_validation():
     assert m.form((0, 1), (1, 0)) == -2
 
 
+def test_skew_image_sign_convention():
+    # Lambda(a, c) = a . Lambda c = -c . Lambda a, with (Lambda c)_i = sum_j lambda_ij c_j
+    def dot(u, w):
+        return sum(x * y for x, y in zip(u, w))
+
+    rng = random.Random(11)
+    for _ in range(40):
+        m = rng.randint(1, 5)
+        lam = random_skew(rng, m)
+        a, c = random_vector(rng, m, 3), random_vector(rng, m, 3)
+        la, lc = lam.image(a), lam.image(c)
+        assert lc == [sum(lam.entry(i, j) * c[j] for j in range(m)) for i in range(m)]
+        assert lam.form(a, c) == dot(a, lc) == -dot(c, la)
+    with pytest.raises(ValueError, match="expected vectors of length 2"):
+        L2.image((1, 0, 0))
+    for a, b in (((1, 0, 0), (1, 0)), ((1, 0), (1, 0, 0))):
+        with pytest.raises(ValueError, match="expected vectors of length 2"):
+            L2.form(a, b)
+
+
 def test_skew_transform_against_reference():
     rng = random.Random(3)
     for _ in range(40):
