@@ -19,14 +19,11 @@ from .errors import ClusterError, IncompatibleError, NotDivisibleError
 from .explorer import explore, export_dot, export_json, laurent_report
 from .mutation import verify_quantum_seed
 from .seeds import (
-    ClassicalSeed,
     QuantumSeed,
     dump_seed,
-    find_skew_symmetrizer,
     json_ints,
     load_seed,
-    principal_extension,
-    principal_lambda,
+    principal_seed,
     specialize_seed,
 )
 
@@ -43,7 +40,10 @@ def _print_json(data) -> None:
 
 def _load_input(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON input nests too deeply") from None
 
 
 def _matrix_lines(rows) -> list[str]:
@@ -203,17 +203,16 @@ def _cmd_principal(args) -> int:
     d = obj.get("D")
     if d is not None:
         d = json_ints(d, "D", 1)
-    lam = principal_lambda(bmat, lambda0, d)
-    d_used = tuple(d) if d is not None else find_skew_symmetrizer(bmat)
-    data = {"Lambda": [list(row) for row in lam.rows()], "d": list(d_used)}
+    seed = principal_seed(bmat, lambda0, d)
+    data = {"Lambda": [list(row) for row in seed.lam.rows()], "d": list(seed.d)}
     if args.full_seed:
-        ext = ClassicalSeed.initial(principal_extension(bmat))
-        data["seed"] = {**dump_seed(ext), "Lambda": data["Lambda"]}
+        data["seed"] = dump_seed(seed)
+        del data["seed"]["d"]
     if args.format == "json":
         _print_json(data)
     else:
-        lines = ["Lambda:"] + _matrix_lines(lam.rows())
-        lines.append("d: " + ",".join(str(x) for x in d_used))
+        lines = ["Lambda:"] + _matrix_lines(seed.lam.rows())
+        lines.append("d: " + ",".join(str(x) for x in seed.d))
         print("\n".join(lines))
     return 0
 

@@ -154,7 +154,7 @@ def explore(
     of None mean unlimited.  With the default max_depth=32, a max_seeds
     larger than the number of seeds within depth 32 never binds; on a
     rank-2 infinite class that number is 2*32+1 = 65.  NotDivisibleError
-    from a mutation is re-raised with the path from the root attached.
+    from a mutation is re-raised with its path from the root set.
 
     Each edge is mutated once.  When expanding X in direction k yields Y
     with relabeling pi, the reverse edge (Y, pi[k], X) is recorded then
@@ -191,12 +191,8 @@ def explore(
                 try:
                     child = mutate(seed, k)
                 except NotDivisibleError as exc:
-                    raise NotDivisibleError(
-                        str(exc),
-                        seed=exc.seed,
-                        direction=exc.direction,
-                        path=_trace_path(parents, key) + (k,),
-                    ) from None
+                    exc.path = _trace_path(parents, key) + (k,)
+                    raise
                 child_c, pi, ckey = _canonical(child)
                 if ckey not in nodes:
                     if max_seeds is not None and len(nodes) >= max_seeds:

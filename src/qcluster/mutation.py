@@ -48,24 +48,36 @@ def _ordered_product(vars, g):
     return reduce(mul, [v ** gi for v, gi in zip(vars, g) if gi] or [vars[0] ** 0])
 
 
+def _exchange(seed, k: int, divide, ring: str, kind: str) -> tuple:
+    """seed.vars with vars[k] replaced by N / vars[k], N = divide.__self__.
+
+    divide is N's bound exact division.  The quotient is re-multiplied and
+    compared with N; a failed division names the ring it left.
+    """
+    old = seed.vars[k]
+    num = divide.__self__
+    try:
+        new_var = divide(old)
+    except NotDivisibleError as exc:
+        raise NotDivisibleError(
+            f"mutation at direction {k} left the {ring}: {exc}",
+            seed=seed,
+            direction=k,
+        ) from None
+    if new_var * old != num:
+        raise ClusterError(f"re-multiplication check failed after {kind} division")
+    new_vars = list(seed.vars)
+    new_vars[k] = new_var
+    return tuple(new_vars)
+
+
 def classical_mutate(seed: ClassicalSeed, k: int) -> ClassicalSeed:
     """Mutate a classical seed in direction k (a row index in ex)."""
     b = seed.b
     g_pos, g_neg = _exchange_exponents(b, k)
     num = _ordered_product(seed.vars, g_pos) + _ordered_product(seed.vars, g_neg)
-    try:
-        new_var = num.exact_div(seed.vars[k])
-    except NotDivisibleError as exc:
-        raise NotDivisibleError(
-            f"mutation at direction {k} left the Laurent ring: {exc}",
-            seed=seed,
-            direction=k,
-        ) from None
-    if new_var * seed.vars[k] != num:
-        raise ClusterError("re-multiplication check failed after classical division")
-    new_vars = list(seed.vars)
-    new_vars[k] = new_var
-    return ClassicalSeed(matrix_mutate(b, k), tuple(new_vars))
+    new_vars = _exchange(seed, k, num.exact_div, "Laurent ring", "classical")
+    return ClassicalSeed(matrix_mutate(b, k), new_vars)
 
 
 def quantum_mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
@@ -80,21 +92,8 @@ def quantum_mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
         shift = reorder_weight(lam, g) + lam.form(g, e_k)
         term = _ordered_product(seed.vars, g).scalar_mul(QLaurent.v_power(shift))
         num = term if num is None else num + term
-    try:
-        new_var = num.exact_div_right(seed.vars[k])
-    except NotDivisibleError as exc:
-        raise NotDivisibleError(
-            f"mutation at direction {k} left the quantum torus: {exc}",
-            seed=seed,
-            direction=k,
-        ) from None
-    if new_var * seed.vars[k] != num:
-        raise ClusterError("re-multiplication check failed after quantum division")
-    new_vars = list(seed.vars)
-    new_vars[k] = new_var
-    return QuantumSeed(
-        lambda_mutate(lam, b, k), matrix_mutate(b, k), tuple(new_vars), seed.d
-    )
+    new_vars = _exchange(seed, k, num.exact_div_right, "quantum torus", "quantum")
+    return QuantumSeed(lambda_mutate(lam, b, k), matrix_mutate(b, k), new_vars, seed.d)
 
 
 def mutate(seed: ClassicalSeed | QuantumSeed, k: int):

@@ -19,7 +19,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import IncompatibleError, NotSymmetrizableError
-from .torus import CommLaurent, SkewMatrix, TorusElement, _int_tuple
+from .torus import CommLaurent, SkewMatrix, TorusElement, _int_rows, _int_tuple
 
 
 def _check_symmetrizer(rows, d, what: str) -> None:
@@ -40,14 +40,8 @@ def find_skew_symmetrizer(b) -> tuple[int, ...]:
     connected component of the nonzero pattern.
     RAISES: NotSymmetrizableError if no positive solution exists.
     """
-    if isinstance(b, ExchangeMatrix):
-        rows = b.principal()
-    else:
-        rows = tuple(_int_tuple(row, "B") for row in b)
+    rows = b.principal() if isinstance(b, ExchangeMatrix) else _int_rows(b, "B", len(b))
     n = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
     for i in range(n):
         if rows[i][i] != 0:
             raise NotSymmetrizableError(f"nonzero diagonal entry at ({i}, {i})")
@@ -105,13 +99,10 @@ class ExchangeMatrix:
 
     def __init__(self, rows: Sequence[Sequence[int]], ex: Sequence[int] | None = None):
         m = len(rows)
-        tup = tuple(_int_tuple(row, "B") for row in rows)
         if m < 1:
             raise ValueError("need at least one row")
-        n = len(tup[0])
-        for i, row in enumerate(tup):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        n = len(rows[0])
+        tup = _int_rows(rows, "B", n)
         if not 1 <= n <= m:
             raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
         if ex is None:
@@ -155,7 +146,7 @@ class ExchangeMatrix:
 
     def principal(self) -> tuple[tuple[int, ...], ...]:
         """The n x n submatrix on the exchangeable rows."""
-        return tuple(tuple(self._rows[k][j] for j in range(self.n)) for k in self._ex)
+        return tuple(self._rows[k] for k in self._ex)
 
     def position(self, k: int) -> int:
         """Column position of exchange direction k; k must be in ex."""
@@ -442,11 +433,9 @@ def load_seed(obj: Mapping) -> ClassicalSeed | QuantumSeed:
     rows = json_ints(bmat, "B", 2)
     if len(rows) != m or any(len(row) != n for row in rows):
         raise ValueError(f"B must be {m}x{n}")
-    ex_raw = obj.get("ex")
-    if ex_raw is None:
-        ex = tuple(range(n))
-    else:
-        ex = json_ints(ex_raw, "ex", 1)
+    ex = obj.get("ex")
+    if ex is not None:
+        ex = json_ints(ex, "ex", 1)
         if ex != sorted(ex) or not all(1 <= k <= m for k in ex):
             raise ValueError(f"ex must be sorted within [1, {m}]")
         ex = tuple(k - 1 for k in ex)

@@ -47,6 +47,19 @@ from .qlaurent import (
 )
 
 
+def _int_rows(rows: Iterable, what: str, width: int) -> tuple[tuple[int, ...], ...]:
+    """The rows as integer tuples, each of length width.
+
+    A non-integer entry raises ValueError naming `what` (see _int_tuple);
+    then the first row of another length is reported.
+    """
+    tup = tuple(_int_tuple(row, what) for row in rows)
+    for i, row in enumerate(tup):
+        if len(row) != width:
+            raise ValueError(f"row {i} has length {len(row)}, expected {width}")
+    return tup
+
+
 class SkewMatrix:
     """A skew-symmetric m x m integer matrix, the frame of a torus."""
 
@@ -54,10 +67,7 @@ class SkewMatrix:
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         m = len(rows)
-        tup = tuple(_int_tuple(row, "Lambda") for row in rows)
-        for i, row in enumerate(tup):
-            if len(row) != m:
-                raise ValueError(f"row {i} has length {len(row)}, expected {m}")
+        tup = _int_rows(rows, "Lambda", m)
         for i in range(m):
             for j in range(i, m):
                 if tup[i][j] != -tup[j][i]:

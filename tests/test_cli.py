@@ -170,6 +170,20 @@ def test_huge_n_is_a_parse_error(capsys, tmp_path, verb):
     assert payload["message"] == f"B must be 2x{10**30}"
 
 
+@pytest.mark.parametrize("verb", ["check", "principal-lambda"])
+def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path, verb):
+    # the JSON decoder recurses once per level; 100,000 levels exhaust it
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, [verb, str(path)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "parse_error",
+        "message": "JSON input nests too deeply",
+    }
+
+
 @pytest.mark.parametrize("argv", [["mutate", "--at", "1"], ["explore"]], ids=repr)
 def test_exponent_out_of_range_exits_1(capsys, tmp_path, argv):
     # a well-formed seed whose frozen row drives an exponent past the

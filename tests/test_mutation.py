@@ -14,7 +14,9 @@ from qcluster import (
     SkewMatrix,
     TorusElement,
     classical_mutate,
+    explore,
     mutate,
+    principal_seed,
     quantum_mutate,
     specialize_seed,
     verify_quantum_seed,
@@ -25,6 +27,7 @@ from helpers import (
     A3_ROWS,
     random_exchange_matrix,
     random_principal_quantum_seed,
+    random_skew,
 )
 
 L2 = SkewMatrix([[0, 1], [-1, 0]])
@@ -107,6 +110,16 @@ def test_classical_not_divisible_surfaces():
         classical_mutate(bad, 0)
     assert info.value.direction == 0
     assert info.value.seed is bad
+
+
+def test_seeds_built_with_a_list_of_variables_mutate():
+    # the exchange step copies vars into a list, whatever sequence it was
+    b = ExchangeMatrix(A2_ROWS)
+    c = a2_classical()
+    assert classical_mutate(ClassicalSeed(b, list(c.vars)), 0) == classical_mutate(c, 0)
+    q = a2_quantum()
+    listed = QuantumSeed(q.lam, b, list(q.vars), q.d)
+    assert quantum_mutate(listed, 0) == quantum_mutate(q, 0)
 
 
 # -- quantum ------------------------------------------------------------
@@ -192,6 +205,97 @@ def test_specialization_square_on_walks():
             cs = classical_mutate(cs, k)
             assert qs.vars[k].specialize_q1() == cs.vars[k]
         assert specialize_seed(qs) == cs
+
+
+def test_quantum_not_divisible_carries_its_context():
+    # (x1 + x2, x2) is not a free cluster, so the exchange at 0 cannot divide
+    x1, x2 = a2_quantum().vars
+    bad = QuantumSeed(L2, ExchangeMatrix(A2_ROWS), (x1 + x2, x2), (1, 1))
+    with pytest.raises(NotDivisibleError) as info:
+        quantum_mutate(bad, 0)
+    exc = info.value
+    assert exc.direction == 0 and exc.seed is bad and exc.path is None
+    assert str(exc).startswith("mutation at direction 0 left the quantum torus")
+    # explore re-raises that error with the path from the root set
+    with pytest.raises(NotDivisibleError) as info:
+        explore(bad)
+    assert info.value.path == (0,)
+    assert info.value.direction == 0 and info.value.seed is bad
+    assert str(info.value) == str(exc)
+
+
+# -- positivity: every coefficient of every cluster variable is >= 0 -----
+# Classically for skew-symmetrizable B (Gross-Hacking-Keel-Kontsevich,
+# JAMS 2018); in Z[v^(+-1)] for quantum seeds over skew-symmetric B
+# (Davison, Ann. Math. 2018).  A check on the engine, never a shortcut.
+
+
+def _a_rows(n):
+    return [[1 if j == i + 1 else -1 if j == i - 1 else 0 for j in range(n)] for i in range(n)]
+
+
+D4_ROWS = [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]]
+F4_ROWS = [[0, 1, 0, 0], [-1, 0, 2, 0], [0, -1, 0, 1], [0, 0, -1, 0]]
+KRONECKER = [[0, 2], [-2, 0]]
+
+
+def _non_positive(graph):
+    """(node key, direction) of each cluster variable with a coefficient <= 0."""
+    found = []
+    for key, seed in graph.nodes.items():
+        for k in seed.ex:
+            for _, coeff in seed.vars[k].items():
+                terms = coeff.items() if isinstance(coeff, QLaurent) else [(0, coeff)]
+                if any(c <= 0 for _, c in terms):
+                    found.append((key, k))
+                    break
+    return found
+
+
+def test_positivity_oracle_flags_a_negative_coefficient():
+    x1, x2 = a2_classical().vars
+    bad = ClassicalSeed(ExchangeMatrix(A2_ROWS), (x1 - x2, x2))
+    graph = explore(bad, max_depth=0)
+    assert _non_positive(graph) == [(graph.root, 0)]
+
+
+@pytest.mark.parametrize(
+    "rows, depth",
+    [
+        (_a_rows(5), None),
+        (D4_ROWS, None),
+        (F4_ROWS, None),
+        ([[0, 1], [-2, 0]], None),
+        ([[0, 1], [-3, 0]], None),
+        (KRONECKER, 12),
+        ([[0, 1], [-4, 0]], 12),
+    ],
+    ids=["A5", "D4", "F4", "B2", "G2", "kronecker", "kronecker-4"],
+)
+@pytest.mark.parametrize("frozen", [0, 2])
+def test_classical_positivity(rows, depth, frozen):
+    rng = random.Random(71)
+    n = len(rows)
+    full = rows + [[rng.randint(-2, 2) for _ in range(n)] for _ in range(frozen)]
+    graph = explore(ClassicalSeed.initial(ExchangeMatrix(full, range(n))), max_depth=depth)
+    assert graph.node_count > 1
+    assert _non_positive(graph) == []
+
+
+@pytest.mark.parametrize(
+    "rows, depth, lambdas",
+    [(A3_ROWS, None, 3), (D4_ROWS, None, 3), (KRONECKER, 6, 1)],
+    ids=["A3", "D4", "kronecker"],
+)
+def test_quantum_positivity(rows, depth, lambdas):
+    n = len(rows)
+    assert all(rows[i][j] == -rows[j][i] for i in range(n) for j in range(n))
+    rng = random.Random(73)
+    for _ in range(lambdas):
+        root = principal_seed(rows, random_skew(rng, n, 2))
+        graph = explore(root, max_depth=depth)
+        assert graph.node_count > 1
+        assert _non_positive(graph) == []
 
 
 def test_mutate_dispatch():
