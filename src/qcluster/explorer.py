@@ -7,6 +7,10 @@ The canonical form sorts the exchangeable indices by the serialized
 form of their variables alone: well defined because variables are in
 initial-cluster coordinates, which never move, and total because a
 cluster's variables are pairwise distinct (a repeat raises ValueError).
+The canonical key is spliced from each variable's JSON bytes, serialized
+once per variable object and kept on it, and equals the bytes of
+dump_seed(canonical seed, full=True); explore builds that seed, with
+its matrices checked, only for a key it has not seen.
 Frozen indices keep their positions: frozen variables are shared by the
 whole mutation class, so permuting them would only manufacture spurious
 distinctions.
@@ -42,56 +46,72 @@ def _json_bytes(data) -> bytes:
 
 
 def _var_key(v) -> bytes:
-    return _json_bytes(v.to_json())
+    """A variable's compact JSON bytes, serialized once and kept on the object."""
+    try:
+        return v._bytes
+    except AttributeError:
+        v._bytes = key = _json_bytes(v.to_json())
+        return key
+
+
+def _canonical(seed):
+    """(inv, head, pi, key) of the canonical form, which is not built here.
+
+    Row i of the form is row inv[i] of seed and pi = inv^-1; head holds
+    the form's dump_seed entries but "vars", which sorts last, so the key
+    is head's bytes spliced with the variables' cached bytes (_var_key).
+    """
+    b = seed.b
+    ex, m, n = b.ex, b.m, b.n
+    var_keys = [_var_key(v) for v in seed.vars]
+    ex_keys = [var_keys[k] for k in ex]
+    if len(set(ex_keys)) != n:
+        raise ValueError("the exchangeable variables are not pairwise distinct")
+    order = sorted(range(n), key=ex_keys.__getitem__)
+    pi, inv = list(range(m)), list(range(m))
+    for t, j in enumerate(order):
+        pi[ex[j]], inv[ex[t]] = ex[t], ex[j]
+    rows = b.rows()
+    head = {"m": m, "n": n, "ex": [k + 1 for k in ex]}
+    head["B"] = [[rows[i][j] for j in order] for i in inv]
+    if isinstance(seed, QuantumSeed):
+        lam = seed.lam.rows()
+        head["Lambda"] = [[lam[i][j] for j in inv] for i in inv]
+        head["d"] = [seed.d[j] for j in order]
+    vars_ = b",".join([var_keys[i] for i in inv])
+    return inv, head, tuple(pi), b'%s,"vars":[%s]}' % (_json_bytes(head)[:-1], vars_)
+
+
+def _relabeled(seed, inv, head):
+    """The canonical seed of _canonical's inv and head, its matrices checked."""
+    if inv == sorted(inv):
+        return seed
+    b, new_vars = ExchangeMatrix(head["B"], seed.b.ex), tuple(seed.vars[i] for i in inv)
+    if isinstance(seed, QuantumSeed):
+        return QuantumSeed(SkewMatrix(head["Lambda"]), b, new_vars, tuple(head["d"]))
+    return ClassicalSeed(b, new_vars)
 
 
 def canonical_form(seed):
     """Canonical representative of a seed's relabeling class.
 
-    The exchangeable indices are sorted by their variables' bytes alone.
-    A cluster's variables are pairwise distinct; a repeated one raises
-    ValueError, since no order could make such a key label-free.
+    The exchangeable indices are sorted by their variables' cached bytes,
+    which canonical_key splices; a repeated variable raises ValueError.
 
     OUTPUT: (canonical seed, pi) where pi maps old row indices to new
     ones (identity on frozen indices).
     """
-    b = seed.b
-    ex = b.ex
-    n = b.n
-    m = b.m
-    var_keys = [_var_key(seed.vars[k]) for k in ex]
-    if len(set(var_keys)) != n:
-        raise ValueError("the exchangeable variables are not pairwise distinct")
-    order = sorted(range(n), key=var_keys.__getitem__)
-    pi = list(range(m))
-    inv = list(range(m))
-    for t, j in enumerate(order):
-        pi[ex[j]] = ex[t]
-        inv[ex[t]] = ex[j]
-    if order == list(range(n)):
-        return seed, tuple(pi)
-    new_vars = tuple(seed.vars[inv[i]] for i in range(m))
-    new_rows = [[b.entry(inv[i], order[t]) for t in range(n)] for i in range(m)]
-    new_b = ExchangeMatrix(new_rows, ex)
-    if isinstance(seed, QuantumSeed):
-        lam = seed.lam
-        new_lam = SkewMatrix(
-            [[lam.entry(inv[i], inv[j]) for j in range(m)] for i in range(m)]
-        )
-        new_d = tuple(seed.d[j] for j in order)
-        return QuantumSeed(new_lam, new_b, new_vars, new_d), tuple(pi)
-    return ClassicalSeed(new_b, new_vars), tuple(pi)
-
-
-def _canonical(seed):
-    """(canonical seed, pi, key): canonical_form plus the serialized key."""
-    canon, pi = canonical_form(seed)
-    return canon, pi, _json_bytes(dump_seed(canon, full=True))
+    inv, head, pi, _ = _canonical(seed)
+    return _relabeled(seed, inv, head), pi
 
 
 def canonical_key(seed) -> bytes:
-    """Serialized canonical form; equal iff seeds agree up to relabeling."""
-    return _canonical(seed)[2]
+    """Serialized canonical form; equal iff seeds agree up to relabeling.
+
+    Spliced from each variable's cached bytes, it equals
+    _json_bytes(dump_seed(canonical_form(seed)[0], full=True)).
+    """
+    return _canonical(seed)[3]
 
 
 class GraphStatus(Enum):
@@ -169,8 +189,8 @@ def explore(
     nodes, so nodes, depths, parents, edges and status are those of
     mutating every direction.
     """
-    canon, _, rkey = _canonical(root)
-    nodes: dict[bytes, ClassicalSeed | QuantumSeed] = {rkey: canon}
+    inv, head, _, rkey = _canonical(root)
+    nodes: dict[bytes, ClassicalSeed | QuantumSeed] = {rkey: _relabeled(root, inv, head)}
     depths: dict[bytes, int] = {rkey: 0}
     parents: dict[bytes, tuple[bytes, int] | None] = {rkey: None}
     edges: set[tuple[bytes, int, bytes]] = set()
@@ -193,12 +213,12 @@ def explore(
                 except NotDivisibleError as exc:
                     exc.path = _trace_path(parents, key) + (k,)
                     raise
-                child_c, pi, ckey = _canonical(child)
+                inv, head, pi, ckey = _canonical(child)
                 if ckey not in nodes:
                     if max_seeds is not None and len(nodes) >= max_seeds:
                         status = GraphStatus.CAPPED_BY_SEEDS
                         break
-                    nodes[ckey] = child_c
+                    nodes[ckey] = _relabeled(child, inv, head)
                     depths[ckey] = depth + 1
                     parents[ckey] = (key, k)
                     queue.append(ckey)

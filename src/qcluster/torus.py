@@ -143,10 +143,11 @@ class _FramedLaurent(_SparseLaurent):
     Holds the normalizing constructor and the tuple-exponent
     constructors, views and JSON; subclasses add the frame's width
     (_width, which picks the _Packing), _NAME and the JSON coefficient
-    codecs.
+    codecs.  explorer._var_key caches the compact JSON bytes in _bytes
+    (the one write after construction; ==, hash and str ignore it).
     """
 
-    __slots__ = ()
+    __slots__ = ("_bytes",)
 
     def __init__(self, frame, terms=()):
         pack = _packing(self._width(frame)).pack

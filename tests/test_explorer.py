@@ -14,9 +14,11 @@ from qcluster import (
     NotDivisibleError,
     QuantumSeed,
     SkewMatrix,
+    TorusElement,
     canonical_form,
     canonical_key,
     classical_mutate,
+    dump_seed,
     explore,
     export_dot,
     export_json,
@@ -75,6 +77,8 @@ def test_canonical_form_rejects_repeated_variable():
             canonical_form(twin)
         with pytest.raises(ValueError, match="pairwise distinct"):
             canonical_key(twin)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            explore(twin)
 
 
 def test_canonical_key_separates_distinct_seeds():
@@ -492,3 +496,124 @@ def test_laurent_report_mutates_once_per_step(mutate_calls):
     rep = laurent_report(principal_seed(D4_ROWS), seq)
     assert rep.ok
     assert len(mutate_calls) == len(seq)
+
+
+# -- keys spliced from cached variable bytes ---------------------------------
+
+
+def compact(data) -> bytes:
+    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+
+
+def reference_key(seed):
+    """The key as the serialization of the built canonical seed."""
+    return compact(dump_seed(canonical_form(seed)[0], full=True))
+
+
+def relabeled(seed, perm):
+    """seed with row i taken from row perm[i]; perm fixes the frozen rows."""
+    b = seed.b
+    cols = [b.position(perm[k]) for k in b.ex]
+    rows = [[b.entry(perm[i], j) for j in cols] for i in range(seed.m)]
+    return ClassicalSeed(ExchangeMatrix(rows, b.ex), tuple(seed.vars[i] for i in perm))
+
+
+LAMBDA0_D4 = [[0, 1, 0, -2], [-1, 0, 3, 0], [0, -3, 0, 1], [2, 0, -1, 0]]
+
+# (root, explore keyword arguments, expected (status, nodes, edges))
+KEY_CASES = {
+    "A5-relabeled-root": (
+        lambda: relabeled(classical(a_rows(5)), [3, 0, 4, 1, 2]),
+        {},
+        ("Closed", 132, 660),
+    ),
+    "kronecker-two-frozen": (
+        lambda: classical(KRONECKER + [[1, -1], [2, 3]], [0, 1]),
+        {"max_depth": 8},
+        ("CappedByDepth", 17, 30),
+    ),
+    "quantum-D4-lambda0": (
+        lambda: principal_seed(D4_ROWS, LAMBDA0_D4),
+        {},
+        ("Closed", 50, 200),
+    ),
+    "kronecker-quantum-wide": EDGE_CASES["kronecker-quantum-wide"],
+    # d = (1, 1, 2): relabeling must permute d as well
+    "quantum-B3": (lambda: principal_seed(B3_ROWS), {}, ("Closed", 20, 60)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_CASES))
+def test_spliced_key_equals_dump_seed_bytes(name):
+    build, kwargs, expected = KEY_CASES[name]
+    g = explore(build(), **kwargs)
+    assert (g.status.value, g.node_count, g.edge_count) == expected
+    for key, seed in g.nodes.items():
+        assert canonical_key(seed) == reference_key(seed) == key
+        # the relabeled Lambda, d and variables still fit together
+        assert isinstance(seed, ClassicalSeed) or verify_quantum_seed(seed).ok
+    for src, k, dst in g.edges:
+        child = mutate(g.nodes[src], k)  # before relabeling
+        assert canonical_key(child) == reference_key(child) == dst
+
+
+def test_relabeled_root_reaches_the_same_graph():
+    root = classical(a_rows(5))
+    g = explore(root)
+    h = explore(relabeled(root, [3, 0, 4, 1, 2]))
+    assert h.root == g.root
+    assert h.nodes == g.nodes and h.edges == g.edges
+
+
+def test_serving_as_a_key_changes_no_variable():
+    s = classical_mutate(classical_mutate(a2_classical(), 0), 1)
+    q = quantum_mutate(quantum_mutate(a2_quantum(), 0), 1)
+    before = [(v, hash(v), v.to_json(), str(v)) for v in s.vars + q.vars]
+    for seed in (s, q, s, q):  # the second pass reads the cached bytes
+        canonical_form(seed)
+        canonical_key(seed)
+    for v, h, data, text in before:
+        assert v._bytes == compact(data)  # cached by the first key
+        assert (hash(v), v.to_json(), str(v)) == (h, data, text)
+        assert v == v.from_json(v._frame, data)
+    assert canonical_key(s) == reference_key(s)
+    assert canonical_key(q) == reference_key(q)
+
+
+@pytest.mark.parametrize("seed", [a2_classical(), a2_quantum()], ids=["classical", "quantum"])
+def test_raw_elements_serialize_like_constructed_ones(seed):
+    from qcluster.explorer import _var_key
+
+    x, y = seed.vars
+    product = x * y * y + y  # products and sums are made by _raw
+    if isinstance(x, TorusElement):
+        quotient = product.exact_div_right(y)
+    else:
+        quotient = product.exact_div(y)
+    for raw in (product, quotient):
+        built = type(raw)(raw._frame, raw.items())
+        assert built == raw
+        assert _var_key(raw) == _var_key(built) == compact(built.to_json())
+
+
+def test_canonical_seeds_built_only_for_new_nodes(monkeypatch):
+    import qcluster.explorer
+
+    builds = []
+    real = qcluster.explorer.ExchangeMatrix
+
+    def counting(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qcluster.explorer, "ExchangeMatrix", counting)
+    g = explore(classical(a_rows(5)))
+    assert g.node_count == 132
+    # at most one relabeled seed per stored node, none for a key already seen
+    assert 0 < len(builds) <= g.node_count
+    monkeypatch.undo()
+    for node in g.nodes.values():
+        canon, pi = canonical_form(node)
+        assert canon is node
+        assert pi == tuple(range(node.m))
+
