@@ -78,13 +78,10 @@ def _report_text(report) -> list[str]:
             lines.append(f"step {row.step}: direction {row.index + 1} FAILED: {row.error}")
             continue
         denom = ",".join(str(x) for x in row.denominator)
-        if row.step == 0:
-            lines.append(f"initial [{row.index + 1}]: Laurent, denominator ({denom})")
-        else:
-            lines.append(
-                f"step {row.step}: direction {row.direction + 1} Laurent, "
-                f"{len(row.support)} terms, denominator ({denom})"
-            )
+        lines.append(
+            f"step {row.step}: direction {row.direction + 1} Laurent, "
+            f"{len(row.support)} terms, denominator ({denom})"
+        )
     return lines
 
 

@@ -84,12 +84,10 @@ def quantum_mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
     """Mutate a quantum seed in direction k (a row index in ex)."""
     b = seed.b
     lam = seed.lam
-    g_pos, g_neg = _exchange_exponents(b, k)
-    e_k = [0] * b.m
-    e_k[k] = 1
     num = None
-    for g in (g_pos, g_neg):
-        shift = reorder_weight(lam, g) + lam.form(g, e_k)
+    for g in _exchange_exponents(b, k):
+        # Lambda(g, e_k) = -e_k . Lambda g
+        shift = reorder_weight(lam, g) - lam.image(g)[k]
         term = _ordered_product(seed.vars, g).scalar_mul(QLaurent.v_power(shift))
         num = term if num is None else num + term
     new_vars = _exchange(seed, k, num.exact_div_right, "quantum torus", "quantum")

@@ -100,10 +100,6 @@ class _VExponents:
     base = top = 0
 
     @staticmethod
-    def unpack(key: int) -> tuple[int]:
-        return (key,)
-
-    @staticmethod
     def box(keys) -> tuple[list[int], list[int]]:
         return [min(keys)], [max(keys)]
 
@@ -177,12 +173,11 @@ def _int_mul_into(acc: dict, left: dict, right: dict, packing) -> None:
                 del acc[k]
 
 
-def _int_division_step(g: dict, b: int, right: bool, packing):
+def _int_division_step(g: dict, b: int, packing):
     """The step of exact division by g, whose leading term is g[b] X^b.
 
     step(rem, rc, a, av) returns c = rc / g[b] (or raises
-    NotDivisibleError) and subtracts (c X^a) * g from rem; the ring is
-    commutative, so right and left division agree.
+    NotDivisibleError) and subtracts (c X^a) * g from rem.
     """
     cg = g[b]
 
@@ -194,11 +189,6 @@ def _int_division_step(g: dict, b: int, right: bool, packing):
         return c
 
     return step
-
-
-def _int_exact_div(self, g):
-    """Return h with h * g == self, or raise NotDivisibleError."""
-    return self._exact_div(g, True)
 
 
 class _SparseLaurent:
@@ -215,9 +205,10 @@ class _SparseLaurent:
     to _FramedLaurent (torus).  Subclasses supply the coefficient ring
     (_scalar), the keys (_packing), their error wording (_RING,
     _MISMATCH), the product kernel (_mul_into) and the step of exact
-    division (_division_step(g, b, right, packing), built once per
-    division by g with leading term g[b] X^b: it divides the leading
-    coefficients and subtracts the quotient term times g).
+    division (_division_step(g, b, packing), built once per division by
+    g with leading term g[b] X^b: it divides the leading coefficients
+    and subtracts the quotient term times g).  Division is right-only;
+    the torus derives its left division through bar.
     """
 
     __slots__ = ("_frame", "_terms")
@@ -307,8 +298,8 @@ class _SparseLaurent:
 
     # -- division -----------------------------------------------------
 
-    def _exact_div(self, g, right: bool):
-        """h with h * g == self (right) or g * h == self, else NotDivisibleError.
+    def _exact_div(self, g):
+        """h with h * g == self, else NotDivisibleError.
 
         Greedy cancellation of the leading term (graded-lex; plain
         exponent order for QLaurent).  Every quotient exponent lies in
@@ -339,7 +330,7 @@ class _SparseLaurent:
         within = packing.within
         b = max(g)
         shift = packing.base - b
-        step = self._division_step(g, b, right, packing)
+        step = self._division_step(g, b, packing)
         rem = dict(f)
         quot: dict = {}
         while rem:
@@ -350,7 +341,7 @@ class _SparseLaurent:
             av = within(a, lo, hi)
             if av is None:
                 raise NotDivisibleError("leading term of remainder is not reducible")
-            # subtract (c X^a) * g  (resp. g * (c X^a)) from the remainder
+            # subtract (c X^a) * g from the remainder
             quot[a] = step(rem, rem[t], a, av)
         return self._raw(frame, quot)
 
@@ -382,7 +373,7 @@ class QLaurent(_SparseLaurent):
     # Bound here for the benchmark tracer (perfbench/tracing.py), which
     # wraps them in this class's own __dict__.
     __add__ = __radd__ = _SparseLaurent.__add__
-    exact_div = _int_exact_div
+    exact_div = _SparseLaurent._exact_div
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = list(terms.items() if isinstance(terms, Mapping) else terms)

@@ -35,7 +35,6 @@ from .qlaurent import (
     QLaurent,
     _add_into,
     _int_division_step,
-    _int_exact_div,
     _int_mul_into,
     _int_scalar,
     _int_tuple,
@@ -427,6 +426,7 @@ class TorusElement(_FramedLaurent):
     __eq__ = _SparseLaurent.__eq__
     __hash__ = _SparseLaurent.__hash__
     to_json = _FramedLaurent.to_json
+    exact_div_right = _SparseLaurent._exact_div
 
     @staticmethod
     def _width(lam: SkewMatrix) -> int:
@@ -519,18 +519,17 @@ class TorusElement(_FramedLaurent):
         if far:
             _add_into(acc, _v_decode_apart(far, k))
 
-    def _division_step(self, g: dict, b: int, right: bool, packing: _Packing):
+    def _division_step(self, g: dict, b: int, packing: _Packing):
         """The step of exact division by g, whose leading term is g[b] X^b.
 
         step(rem, rc, a, av) returns the c with (c X^a) * (g[b] X^b) ==
-        rc X^{a+b} (resp. the left product), or raises NotDivisibleError,
-        and subtracts (c X^a) * g (resp. g * (c X^a)) from rem.  The
-        divisor is scanned once per division, not once per step.
+        rc X^{a+b}, or raises NotDivisibleError, and subtracts (c X^a) *
+        g from rem.  The divisor is scanned once per division, not once
+        per step.
         """
         unpack, mul_scanned = packing.unpack, self._mul_scanned
         cg, divisor = g[b], _v_scan(g, unpack)
-        # Lambda(a, b) = a . lb with lb = Lambda b; Lambda(b, a) = -Lambda(a, b)
-        lb = [w if right else -w for w in self._frame.image(unpack(b))]
+        lb = self._frame.image(unpack(b))  # Lambda(a, b) = a . lb
 
         def step(rem: dict, rc: QLaurent, a: int, av) -> QLaurent:
             try:
@@ -539,22 +538,22 @@ class TorusElement(_FramedLaurent):
                 raise NotDivisibleError(
                     "leading coefficient not divisible in Z[q^(1/2), q^(-1/2)]"
                 ) from None
-            term = _v_scan({a: -c}, unpack)
-            if right:
-                mul_scanned(rem, term, divisor, packing)
-            else:
-                mul_scanned(rem, divisor, term, packing)
+            mul_scanned(rem, _v_scan({a: -c}, unpack), divisor, packing)
             return c
 
         return step
 
-    def exact_div_right(self, g: "TorusElement") -> "TorusElement":
-        """Return h with h * g == self, or raise NotDivisibleError."""
-        return self._exact_div(g, True)
-
     def exact_div_left(self, g: "TorusElement") -> "TorusElement":
-        """Return h with g * h == self, or raise NotDivisibleError."""
-        return self._exact_div(g, False)
+        """Return h with g * h == self, or raise NotDivisibleError.
+
+        bar is an anti-automorphism, bar(g * h) = bar(h) * bar(g), so h is
+        the bar of the right quotient of bar(self) by bar(g).  The greedy
+        steps of the two divisions are bar images of each other, so they
+        fail at the same step with the same message.  A g of another type
+        reaches the kernel's TypeError unchanged.
+        """
+        g = g.bar() if isinstance(g, TorusElement) else g
+        return self.bar().exact_div_right(g).bar()
 
     # -- structure maps -----------------------------------------------
 
@@ -631,7 +630,7 @@ class CommLaurent(_FramedLaurent):
     __hash__ = _SparseLaurent.__hash__
     to_json = _FramedLaurent.to_json
     __radd__ = _SparseLaurent.__add__
-    exact_div = _int_exact_div
+    exact_div = _SparseLaurent._exact_div
 
     @staticmethod
     def _width(m: int) -> int:

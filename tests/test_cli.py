@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from qcluster import dump_seed, load_seed, mutate
+from qcluster import NotDivisibleError, dump_seed, load_seed, mutate
 from qcluster.cli import main
 
 
@@ -375,6 +375,8 @@ def test_principal_lambda_bad_d_exits_1(capsys, tmp_path):
         {"B": [[0, 1], [-1, 0]], "Lambda0": 5},
         {"B": [[0, 1], [-1, 0]], "D": [1, "1"]},
         {"B": [[0, 1], [-1, 0]], "D": [1.0, 1.0]},
+        [[0, 1], [-1, 0]],
+        {"b": [[0, 1], [-1, 0]]},
     ],
     ids=repr,
 )
@@ -416,6 +418,24 @@ def test_unknown_flag_is_usage_error(capsys, a2_file):
     with pytest.raises(SystemExit) as info:
         main(["check", a2_file, "--bogus"])
     assert info.value.code == 2
+
+
+def test_not_divisible_error_reports_direction_and_path(capsys, monkeypatch, a2_file):
+    # explore never fails on a valid seed file, so raise its error by hand
+    def failing(seed, **caps):
+        exc = NotDivisibleError("left the ring", seed=seed, direction=1)
+        exc.path = (0, 1)
+        raise exc
+
+    monkeypatch.setattr("qcluster.cli.explore", failing)
+    code, out, err = run(capsys, ["explore", a2_file])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "not_divisible",
+        "message": "left the ring",
+        "direction": 2,
+        "path": [1, 2],
+    }
 
 
 def test_mutate_incomplete_report_exits_1(capsys, monkeypatch, a2_file):

@@ -263,6 +263,23 @@ def test_node_ids_stable_across_runs():
     assert a == b
 
 
+def test_node_ids_widen_on_collision(monkeypatch):
+    import qcluster.explorer
+
+    real = qcluster.explorer.blake2b
+
+    def colliding(data, digest_size):
+        # every 6-byte id collides, so node_ids must double the size
+        return real(b"" if digest_size == 6 else data, digest_size=digest_size)
+
+    monkeypatch.setattr(qcluster.explorer, "blake2b", colliding)
+    graph = explore(a2_classical())
+    ids = graph.node_ids()
+    assert set(ids) == set(graph.nodes)
+    assert len(set(ids.values())) == len(ids) == 5
+    assert all(ids[key] == real(key, digest_size=12).hexdigest() for key in ids)
+
+
 # -- laurent_report ------------------------------------------------------
 
 

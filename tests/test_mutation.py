@@ -6,6 +6,7 @@ import pytest
 
 from qcluster import (
     ClassicalSeed,
+    ClusterError,
     CommLaurent,
     ExchangeMatrix,
     NotDivisibleError,
@@ -224,6 +225,23 @@ def test_quantum_not_divisible_carries_its_context():
     assert str(info.value) == str(exc)
 
 
+@pytest.mark.parametrize(
+    "seed, cls, attr, kind",
+    [
+        (a2_classical, CommLaurent, "exact_div", "classical"),
+        (a2_quantum, TorusElement, "exact_div_right", "quantum"),
+    ],
+    ids=["classical", "quantum"],
+)
+def test_remultiplication_check_fires(monkeypatch, seed, cls, attr, kind):
+    # a division that returns the true quotient plus one must not pass
+    divide = getattr(cls, attr)
+    monkeypatch.setattr(cls, attr, lambda self, g: divide(self, g) + cls.one(self._frame))
+    with pytest.raises(ClusterError) as info:
+        mutate(seed(), 0)
+    assert str(info.value) == f"re-multiplication check failed after {kind} division"
+
+
 # -- positivity: every coefficient of every cluster variable is >= 0 -----
 # Classically for skew-symmetrizable B (Gross-Hacking-Keel-Kontsevich,
 # JAMS 2018); in Z[v^(+-1)] for quantum seeds over skew-symmetric B
@@ -351,3 +369,4 @@ def test_verify_detects_bar_violation():
     rep = verify_quantum_seed(tampered)
     assert not rep.bar_invariance_ok
     assert rep.bar_invariance_failure == 0
+    assert rep.to_json()["bar_invariance"] == {"ok": False, "first_failure": 1}

@@ -375,6 +375,22 @@ def test_principal_lambda_validates_d():
     assert check_compatibility(ext, lam) == (2, 1)
 
 
+@pytest.mark.parametrize(
+    "bmat, lam0, d, message",
+    [
+        ([[0, 1]], None, None, "B must be square; row 0 has length 2"),
+        ([[0, 1], [-1, 0]], None, [1], "D must be 2 positive integers"),
+        ([[0, 1], [-1, 0]], None, [1, 0], "D must be 2 positive integers"),
+        ([[0, 1], [-1, 0]], None, [-1, -1], "D must be 2 positive integers"),
+        ([[0, 1], [-1, 0]], [[0]], None, "lambda0 is 1x1, expected 2x2"),
+    ],
+)
+def test_principal_lambda_rejects_bad_shapes(bmat, lam0, d, message):
+    with pytest.raises(ValueError) as info:
+        principal_lambda(bmat, lam0, d)
+    assert str(info.value) == message
+
+
 def test_principal_lambda_random_with_lambda0():
     rng = random.Random(35)
     for _ in range(40):

@@ -19,6 +19,7 @@ from qcluster import (
 from helpers import (
     random_nonzero_qlaurent,
     random_nonzero_torus_element,
+    random_qlaurent,
     random_skew,
     random_torus_element,
     random_vector,
@@ -188,8 +189,11 @@ def test_division_errors():
     with pytest.raises(ZeroDivisionError):
         f.exact_div_right(TorusElement.zero(L2))
     assert TorusElement.zero(L2).exact_div_right(f) == TorusElement.zero(L2)
-    with pytest.raises(TypeError):
-        f.exact_div_left(CommLaurent.one(2))
+    for bad in (CommLaurent.one(2), QLaurent.one(), 2):
+        message = f"cannot divide TorusElement by {type(bad).__name__}"
+        for divide in (f.exact_div_right, f.exact_div_left):
+            with pytest.raises(TypeError, match=message):
+                divide(bad)
 
 
 def test_division_by_monomial_always_works():
@@ -256,8 +260,21 @@ def test_bar_involution():
         lam = random_skew(rng, 3)
         mono = TorusElement.monomial(lam, random_vector(rng, 3, 4))
         assert mono.bar() == mono
-    # bar is an anti-automorphism
+    # bar is an anti-automorphism, on generators and on random elements
+    # with multi-term and wide coefficients (exact_div_left rests on it)
     assert (x1 * x2).bar() == x2.bar() * x1.bar()
+    def element(lam, vexp, coeff):
+        terms = rng.randint(1, 5)
+        return TorusElement(lam, [
+            (random_vector(rng, lam.m, 3), random_qlaurent(rng, 5, vexp, coeff))
+            for _ in range(terms)
+        ])
+
+    for _ in range(60):
+        lam = random_skew(rng, rng.randint(1, 4))
+        vexp, coeff = rng.choice([3, 40]), rng.choice([5, 10**30])
+        x, y = element(lam, vexp, coeff), element(lam, vexp, coeff)
+        assert (x * y).bar() == y.bar() * x.bar()
 
 
 def test_specialize_q1_is_ring_hom():
