@@ -46,28 +46,25 @@ def _load_input(path: str):
             raise ValueError("JSON input nests too deeply") from None
 
 
-def _matrix_lines(rows) -> list[str]:
-    width = max((len(str(x)) for row in rows for x in row), default=1)
-    return ["  " + " ".join(str(x).rjust(width) for x in row) for row in rows]
+def _text_lines(record: dict) -> list[str]:
+    """`key: value` lines of a JSON record; int lists join by commas, rows right-align."""
+    lines = []
+    for key, value in record.items():
+        if not isinstance(value, list):
+            lines.append(f"{key}: {value}")
+        elif value and isinstance(value[0], list):
+            width = max(len(str(x)) for row in value for x in row)
+            lines.append(f"{key}:")
+            lines += ["  " + " ".join(str(x).rjust(width) for x in row) for row in value]
+        else:
+            lines.append(f"{key}: " + ",".join(str(x) for x in value))
+    return lines
 
 
 def _seed_text(seed, full: bool) -> str:
-    b = seed.b
-    lines = [
-        f"m: {b.m}",
-        f"n: {b.n}",
-        "ex: " + ",".join(str(k + 1) for k in b.ex),
-        "B:",
-    ]
-    lines += _matrix_lines(b.rows())
-    if isinstance(seed, QuantumSeed):
-        lines.append("Lambda:")
-        lines += _matrix_lines(seed.lam.rows())
-        lines.append("d: " + ",".join(str(x) for x in seed.d))
+    lines = _text_lines(dump_seed(seed))
     if full:
-        lines.append("vars:")
-        for i, v in enumerate(seed.vars):
-            lines.append(f"  [{i + 1}] {v}")
+        lines += ["vars:"] + [f"  [{i}] {v}" for i, v in enumerate(seed.vars, 1)]
     return "\n".join(lines)
 
 
@@ -112,12 +109,11 @@ def _cmd_check(args) -> int:
     if args.format == "json":
         _print_json(data)
     else:
-        lines = [f"type: {data['type']}", "d: " + ",".join(str(x) for x in data["d"])]
-        if isinstance(seed, QuantumSeed):
-            v = data["verification"]
-            for name in ("compatibility", "quasi_commutation", "bar_invariance"):
-                state = "ok" if v[name]["ok"] else "FAILED"
-                lines.append(f"{name}: {state}")
+        record = {"type": data["type"], "d": data["d"]}
+        for name, entry in data.get("verification", {}).items():
+            if name != "ok":
+                record[name] = "ok" if entry["ok"] else "FAILED"
+        lines = _text_lines(record)
         lines.append("ok" if data["ok"] else "FAILED")
         print("\n".join(lines))
     if not data["ok"]:
@@ -157,23 +153,21 @@ def _cmd_mutate(args) -> int:
 
 def _cmd_explore(args) -> int:
     seed = load_seed(_load_input(args.input))
-    max_seeds = None if args.max_seeds is not None and args.max_seeds < 0 else args.max_seeds
-    max_depth = None if args.max_depth is not None and args.max_depth < 0 else args.max_depth
+    max_seeds = None if args.max_seeds < 0 else args.max_seeds
+    max_depth = None if args.max_depth < 0 else args.max_depth
     graph = explore(seed, max_seeds=max_seeds, max_depth=max_depth)
     if args.format == "dot":
         sys.stdout.write(export_dot(graph))
     elif args.format == "json":
         print(export_json(graph, full=args.full))
     else:
-        depths = sorted(graph.depths.values())
-        print(
-            "status: {0}\nnodes: {1}\nedges: {2}\nmax depth reached: {3}".format(
-                graph.status.value,
-                graph.node_count,
-                graph.edge_count,
-                depths[-1] if depths else 0,
-            )
-        )
+        summary = {
+            "status": graph.status.value,
+            "nodes": graph.node_count,
+            "edges": graph.edge_count,
+            "max depth reached": max(graph.depths.values()),
+        }
+        print("\n".join(_text_lines(summary)))
     return 0
 
 
@@ -200,17 +194,12 @@ def _cmd_principal(args) -> int:
     d = obj.get("D")
     if d is not None:
         d = json_ints(d, "D", 1)
-    seed = principal_seed(bmat, lambda0, d)
-    data = {"Lambda": [list(row) for row in seed.lam.rows()], "d": list(seed.d)}
-    if args.full_seed:
-        data["seed"] = dump_seed(seed)
-        del data["seed"]["d"]
-    if args.format == "json":
-        _print_json(data)
+    seed = dump_seed(principal_seed(bmat, lambda0, d))
+    data = {"Lambda": seed["Lambda"], "d": seed.pop("d")}
+    if args.format == "text":
+        print("\n".join(_text_lines(data)))
     else:
-        lines = ["Lambda:"] + _matrix_lines(seed.lam.rows())
-        lines.append("d: " + ",".join(str(x) for x in seed.d))
-        print("\n".join(lines))
+        _print_json(dict(data, seed=seed) if args.full_seed else data)
     return 0
 
 

@@ -283,7 +283,7 @@ class _SparseLaurent:
 
     def __pow__(self, n: int):
         """self ** n by repeated squaring (the unit for n = 0)."""
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("only nonnegative integer powers are defined")
         if not n:
             return self._raw(self._frame, {self._packing().base: self._scalar(1)})

@@ -149,11 +149,10 @@ class ExchangeMatrix:
         return tuple(self._rows[k] for k in self._ex)
 
     def position(self, k: int) -> int:
-        """Column position of exchange direction k; k must be in ex."""
-        try:
+        """Column position of exchange direction k; k must be an int in ex."""
+        if type(k) is int and k in self._ex:
             return self._ex.index(k)
-        except ValueError:
-            raise ValueError(f"index {k} is not exchangeable") from None
+        raise ValueError(f"index {k!r} is not exchangeable")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExchangeMatrix):

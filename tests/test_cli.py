@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from qcluster import NotDivisibleError, dump_seed, load_seed, mutate
+from qcluster import NotDivisibleError, SeedVerification, dump_seed, load_seed, mutate
 from qcluster.cli import main
 
 
@@ -394,6 +394,60 @@ def test_principal_lambda_text(capsys, tmp_path):
     assert code == 0
     assert "Lambda:" in out
     assert "d: 1" in out
+
+
+def test_principal_lambda_full_seed_text_prints_lambda_and_d_only(capsys, tmp_path):
+    path = write_json(tmp_path, "b2.json", {"B": [[0, 1], [-1, 0]]})
+    code, out, err = run(capsys, ["principal-lambda", path, "--full-seed", "--format", "text"])
+    assert code == 0 and err == ""
+    assert out == (
+        "Lambda:\n"
+        "   0  0 -1  0\n"
+        "   0  0  0 -1\n"
+        "   1  0  0 -1\n"
+        "   0  1  1  0\n"
+        "d: 1,1\n"
+    )
+
+
+def test_principal_lambda_text_right_aligns_mixed_widths(capsys, tmp_path):
+    path = write_json(tmp_path, "b12.json", {"B": [[0, 1], [-12, 0]]})
+    code, out, err = run(capsys, ["principal-lambda", path, "--format", "text"])
+    assert code == 0 and err == ""
+    assert out == (
+        "Lambda:\n"
+        "    0   0 -12   0\n"
+        "    0   0   0  -1\n"
+        "   12   0   0 -12\n"
+        "    0   1  12   0\n"
+        "d: 12,1\n"
+    )
+
+
+def test_specialize_text_without_full_prints_no_vars(capsys, tmp_path):
+    path = write_json(tmp_path, "b2q.json", GOLDEN_FILES["b2q"])
+    code, out, err = run(capsys, ["specialize", path, "--format", "text"])
+    assert code == 0 and err == ""
+    assert out == "m: 4\nn: 2\nex: 1,2\nB:\n   0  1\n  -2  0\n   1  0\n   0  1\n"
+
+
+def test_check_text_reports_failed_verification(capsys, monkeypatch, tmp_path):
+    # a well-formed quantum seed file always verifies, so fake a failure
+    monkeypatch.setattr(
+        "qcluster.cli.verify_quantum_seed", lambda seed: SeedVerification(None, (0, 1), None)
+    )
+    path = write_json(tmp_path, "b2q.json", GOLDEN_FILES["b2q"])
+    code, out, err = run(capsys, ["check", path, "--format", "text"])
+    assert code == 1
+    assert out == (
+        "type: quantum\n"
+        "d: 2,1\n"
+        "compatibility: ok\n"
+        "quasi_commutation: FAILED\n"
+        "bar_invariance: ok\n"
+        "FAILED\n"
+    )
+    assert json.loads(err)["error"] == "verification_failed"
 
 
 # -- shell-level behaviour ------------------------------------------------

@@ -21,6 +21,7 @@ from qcluster import (
     lambda_mutate,
     load_seed,
     matrix_mutate,
+    mutate,
     principal_extension,
     principal_lambda,
     specialize_seed,
@@ -521,6 +522,24 @@ def test_python_constructors_reject_non_integers(where, bad):
     with pytest.raises(ValueError, match="must hold integers"):
         CONSTRUCTORS[where](bad)
 
+
+
+NON_INT_SITES = {
+    "classical mutate": lambda x: mutate(ClassicalSeed.initial(ExchangeMatrix(A2_ROWS)), x),
+    "quantum mutate": lambda x: mutate(QuantumSeed.initial(ExchangeMatrix(A2_ROWS), L2), x),
+    "QLaurent **": lambda x: QLaurent({1: 1}) ** x,
+    "CommLaurent **": lambda x: CommLaurent.generator(2, 0) ** x,
+    "TorusElement **": lambda x: TorusElement.generator(L2, 0) ** x,
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0], ids=repr)
+@pytest.mark.parametrize("where", sorted(NON_INT_SITES))
+def test_directions_and_powers_reject_bool_and_float(where, bad):
+    # True and 1.0 equal 1, so tuple.index and isinstance(n, int) let them through
+    NON_INT_SITES[where](1)
+    with pytest.raises(ValueError, match="is not exchangeable|nonnegative integer powers"):
+        NON_INT_SITES[where](bad)
 
 JSON_SITES = {
     "CommLaurent coeff": (
