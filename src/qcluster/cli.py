@@ -16,7 +16,7 @@ import sys
 from typing import Sequence
 
 from .errors import ClusterError, IncompatibleError, NotDivisibleError
-from .explorer import explore, export_dot, export_json, laurent_report
+from .explorer import _indented, explore, export_dot, export_json, laurent_report
 from .mutation import verify_quantum_seed
 from .seeds import (
     QuantumSeed,
@@ -35,7 +35,7 @@ def _emit_error(code: str, message: str, **extra) -> None:
 
 
 def _print_json(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+    print(_indented(data))
 
 
 def _load_input(path: str):
@@ -113,6 +113,7 @@ def _cmd_check(args) -> int:
         for name, entry in data.get("verification", {}).items():
             if name != "ok":
                 record[name] = "ok" if entry["ok"] else "FAILED"
+                record.update((f"{name}.{k}", v) for k, v in entry.items() if k != "ok")
         lines = _text_lines(record)
         lines.append("ok" if data["ok"] else "FAILED")
         print("\n".join(lines))

@@ -28,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import blake2b
+from json.encoder import encode_basestring_ascii as _encode
 from typing import Mapping, Sequence
 
 from .errors import NotDivisibleError
@@ -43,6 +44,30 @@ from .torus import SkewMatrix
 
 def _json_bytes(data) -> bytes:
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+
+
+class _Raw(str):
+    """JSON text that _indented splices as it is."""
+
+
+def _indented(obj, nl: str = "\n") -> str:
+    """json.dumps's text for obj with an indent of 2 and sorted keys; a tuple is a list."""
+    if isinstance(obj, str):
+        return obj if type(obj) is _Raw else _encode(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        items = [_encode(k) + ": " + _indented(v, inner) for k, v in sorted(obj.items())]
+        return "{%s%s%s}" % (inner, ("," + inner).join(items), nl) if obj else "{}"
+    if not isinstance(obj, (list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    # json's indented encoder is pure Python, one call per item; a row of ints is one join
+    ints = all(type(x) is int for x in obj)
+    items = map(str, obj) if ints else [_indented(x, inner) for x in obj]
+    return "[%s%s%s]" % (inner, ("," + inner).join(items), nl) if obj else "[]"
 
 
 def _var_key(v) -> bytes:
@@ -341,13 +366,14 @@ def laurent_report(
     return LaurentReport(tuple(rows), True, seed)
 
 
-def _cluster_summary(seed, limit: int = 28) -> str:
+def _cluster_summary(seed, texts: dict, limit: int = 28) -> str:
     parts = []
     for k in seed.b.ex:
-        s = str(seed.vars[k])
-        if len(s) > limit:
-            s = s[: limit - 3] + "..."
-        parts.append(s)
+        key = _var_key(seed.vars[k])
+        if key not in texts:  # each distinct variable is rendered once per export
+            s = str(seed.vars[k])
+            texts[key] = s if len(s) <= limit else s[: limit - 3] + "..."
+        parts.append(texts[key])
     return ", ".join(parts)
 
 
@@ -362,31 +388,38 @@ def _display_order(graph: ExchangeGraph):
 def export_json(graph: ExchangeGraph, full: bool = False) -> str:
     """Stable JSON rendering of a graph; full=True embeds the variables."""
     ids, keys, edges = _display_order(graph)
+    texts: dict[bytes, _Raw] = {}  # equal _var_key bytes, equal to_json(): render each once
+    nodes = []
+    for key in keys:
+        seed = graph.nodes[key]
+        record = dump_seed(seed)
+        if full:
+            record["vars"] = []
+            for v in seed.vars:
+                vkey = _var_key(v)
+                if vkey not in texts:  # at depth 5 in data: nodes, node, seed, vars
+                    texts[vkey] = _Raw(_indented(v.to_json(), "\n" + "  " * 5))
+                record["vars"].append(texts[vkey])
+        nodes.append({"id": ids[key], "depth": graph.depths[key], "seed": record})
     data = {
         "status": graph.status.value,
         "root": ids[graph.root],
         "node_count": graph.node_count,
         "edge_count": graph.edge_count,
-        "nodes": [
-            {
-                "id": ids[key],
-                "depth": graph.depths[key],
-                "seed": dump_seed(graph.nodes[key], full=full),
-            }
-            for key in keys
-        ],
+        "nodes": nodes,
         "edges": [{"from": ids[a], "k": k + 1, "to": ids[c]} for a, k, c in edges],
     }
-    return json.dumps(data, indent=2, sort_keys=True)
+    return _indented(data)
 
 
 def export_dot(graph: ExchangeGraph) -> str:
     """GraphViz rendering: nodes carry id and cluster summary, edges k."""
     ids, keys, edges = _display_order(graph)
+    texts: dict[bytes, str] = {}
     lines = ["digraph exchange {"]
     lines.append('  graph [label="status: %s"];' % graph.status.value)
     for key in keys:
-        label = "%s\\n%s" % (ids[key], _cluster_summary(graph.nodes[key]))
+        label = "%s\\n%s" % (ids[key], _cluster_summary(graph.nodes[key], texts))
         label = label.replace('"', '\\"')
         lines.append('  "%s" [label="%s"];' % (ids[key], label))
     for a, k, c in edges:

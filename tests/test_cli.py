@@ -444,10 +444,38 @@ def test_check_text_reports_failed_verification(capsys, monkeypatch, tmp_path):
         "d: 2,1\n"
         "compatibility: ok\n"
         "quasi_commutation: FAILED\n"
+        "quasi_commutation.first_failure: 1,2\n"
         "bar_invariance: ok\n"
         "FAILED\n"
     )
     assert json.loads(err)["error"] == "verification_failed"
+
+
+@pytest.mark.parametrize(
+    "verification, lines",
+    [
+        (
+            SeedVerification(None, None, 1),
+            ["bar_invariance: FAILED", "bar_invariance.first_failure: 2"],
+        ),
+        (
+            SeedVerification("pairing gives d=(1, 1), seed stores d=(2, 1)", None, None),
+            [
+                "compatibility: FAILED",
+                "compatibility.detail: pairing gives d=(1, 1), seed stores d=(2, 1)",
+            ],
+        ),
+    ],
+)
+def test_check_text_shows_each_failure_detail(capsys, monkeypatch, tmp_path, verification, lines):
+    # every detail of the JSON record follows its FAILED line, as name.key: value
+    monkeypatch.setattr("qcluster.cli.verify_quantum_seed", lambda seed: verification)
+    path = write_json(tmp_path, "b2q.json", GOLDEN_FILES["b2q"])
+    code, out, _ = run(capsys, ["check", path, "--format", "text"])
+    assert code == 1
+    out_lines = out.splitlines()
+    start = out_lines.index(lines[0])
+    assert out_lines[start : start + len(lines)] == lines
 
 
 # -- shell-level behaviour ------------------------------------------------
@@ -616,6 +644,25 @@ def test_golden_cli_bytes(capsys, tmp_path):
     assert digests == GOLDEN_SHA256
 
 
+def printed_as_json_dumps(out):
+    """True when stdout is json.dumps of the record it holds, indent 2, sorted keys."""
+    return out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_golden_json_records_match_json_dumps(capsys, tmp_path):
+    paths = {name: write_json(tmp_path, f"{name}.json", obj)
+             for name, obj in GOLDEN_FILES.items()}
+    checked = 0
+    for verb, name, extra, _ in GOLDEN_RUNS:
+        if "--format" in extra and extra[extra.index("--format") + 1] != "json":
+            continue
+        out = run(capsys, [verb, paths[name], *extra])[1]
+        if out:
+            assert printed_as_json_dumps(out), (verb, name, extra)
+            checked += 1
+    assert checked >= 18
+
+
 # -- seeded fuzz -------------------------------------------------------------
 
 FUZZ_BASES = ["a2", "b2", "g2", "a2q", "b2q", "kron"]
@@ -662,8 +709,9 @@ def test_seed_file_fuzz_never_escapes(capsys, tmp_path):
                 code = main(argv)
             except Exception as exc:
                 pytest.fail(f"case {case} {obj} {argv[0]}: {type(exc).__name__}: {exc}")
-            err = capsys.readouterr().err
+            out, err = capsys.readouterr()
             assert code in (0, 1, 2), (case, obj, argv[0])
+            assert not out or printed_as_json_dumps(out), (case, obj, argv[0])
             if code:
                 assert err, (case, obj, argv[0])
                 payload = json.loads(err.splitlines()[-1])

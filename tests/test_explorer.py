@@ -477,6 +477,101 @@ def test_export_bytes_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# sha256 of export_dot of the same graphs, recorded before its labels were
+# memoised per distinct variable; every graph has labels cut at 28 characters
+EXPORT_DOT_DIGESTS = {
+    "A5": "ef39f6782cf186ecf7601a66c98ea62dd0c2ba1df476454ca78cba1d5b7be7ee",
+    "quantum-D4": "f27bde60318be6e38d817553bda4820a798c4dec9b0aa4ec566e934d736d4abf",
+    "kronecker-depth-10": "8dc300186662f2cee19fae10c1c53f0f4054ac15429cbe0df0c4a33a6cdc972a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_DOT_DIGESTS))
+def test_export_dot_bytes_pinned(name):
+    build, kwargs, _ = EXPORT_DIGESTS[name]
+    text = export_dot(explore(build(), **kwargs))
+    assert "..." in text  # a label was cut
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_DOT_DIGESTS[name]
+
+
+def unmemoised_export_json(graph, full):
+    """export_json as json.dumps of the whole record, dump_seed(full=full) per node."""
+    ids = graph.node_ids()
+    keys = sorted(graph.nodes, key=lambda key: (graph.depths[key], ids[key]))
+    edges = sorted(graph.edges, key=lambda e: (ids[e[0]], e[1], ids[e[2]]))
+    data = {
+        "status": graph.status.value,
+        "root": ids[graph.root],
+        "node_count": graph.node_count,
+        "edge_count": graph.edge_count,
+        "nodes": [
+            {"id": ids[key], "depth": graph.depths[key],
+             "seed": dump_seed(graph.nodes[key], full=full)}
+            for key in keys
+        ],
+        "edges": [{"from": ids[a], "k": k + 1, "to": ids[c]} for a, k, c in edges],
+    }
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("full", [True, False])
+@pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
+def test_export_json_equals_json_dumps_of_the_record(name, full):
+    build, kwargs, _ = EXPORT_DIGESTS[name]
+    g = explore(build(), **kwargs)
+    assert export_json(g, full=full) == unmemoised_export_json(g, full)
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
+def test_export_json_renders_each_distinct_variable_once(name, monkeypatch):
+    from qcluster.explorer import _var_key
+
+    build, kwargs, _ = EXPORT_DIGESTS[name]
+    g = explore(build(), **kwargs)
+    calls = []
+    for cls in (CommLaurent, TorusElement):
+        original = cls.to_json
+        monkeypatch.setattr(cls, "to_json", lambda v, f=original: calls.append(v) or f(v))
+    export_json(g, full=True)
+    distinct = {_var_key(v) for seed in g.nodes.values() for v in seed.vars}
+    slots = sum(len(seed.vars) for seed in g.nodes.values())
+    assert len(calls) == len(distinct) < slots
+
+
+WRITER_CASES = {
+    "empty top dict": {},
+    "empty top list": [],
+    "nested empties": {"a": [], "b": {}, "c": [[], {}, [[]]], "d": [{}]},
+    "strings": ["caf\u00e9 \u2200 \U0001f600", "tab\tnul\x00 bell\x07\x1f", 'q"uote', "back\\slash", ""],
+    "keys": {"caf\u00e9": 1, "\n\x00": 2, '"': 3, "\\": 4, "": 5, "\U0001f600": 6},
+    "constants": [True, False, None, {"t": True, "f": False, "n": None}],
+    "ints": [0, -1, -(10**30), 10**30, [1, -2, 10**30]],
+    "tuple": (1, (2, 3), ("x", None), ()),
+    "mixed list": [1, "a", [1, 2], {"k": [3]}, True, 0],
+    "top string": "\u00e9\"\\",
+    "top int": -7,
+    "top null": None,
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_indented_writer_matches_json_dumps(name):
+    from qcluster.explorer import _indented
+
+    value = WRITER_CASES[name]
+    assert _indented(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_indented_writer_rejects_what_json_rejects():
+    from qcluster.explorer import _indented
+
+    for value in ({1, 2}, [object()], {"k": b"bytes"}):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            _indented(value)
+
+
 @pytest.fixture
 def mutate_calls(monkeypatch):
     import qcluster.explorer
