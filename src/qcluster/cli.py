@@ -138,7 +138,7 @@ def _cmd_mutate(args) -> int:
     else:
         lines = _report_text(report)
         if report.final is not None:
-            lines.append(_seed_text(report.final, full=True))
+            lines.append(_seed_text(report.final, full=args.full))
         print("\n".join(lines))
     if not report.completed:
         failing = report.rows[-1]

@@ -33,13 +33,7 @@ from typing import Mapping, Sequence
 
 from .errors import NotDivisibleError
 from .mutation import mutate
-from .seeds import (
-    ClassicalSeed,
-    ExchangeMatrix,
-    QuantumSeed,
-    dump_seed,
-)
-from .torus import SkewMatrix
+from .seeds import ClassicalSeed, ExchangeMatrix, QuantumSeed, dump_seed
 
 
 def _json_bytes(data) -> bytes:
@@ -82,12 +76,11 @@ def _var_key(v) -> bytes:
 def _canonical(seed):
     """(inv, head, pi, key) of the canonical form, which is not built here.
 
-    Row i of the form is row inv[i] of seed and pi = inv^-1; head holds
-    the form's dump_seed entries but "vars", which sorts last, so the key
-    is head's bytes spliced with the variables' cached bytes (_var_key).
+    Row i of the form is row inv[i] of seed and pi = inv^-1; head is the
+    form's record, dump_seed's entries but "vars", which sorts last, so the
+    key is head's bytes spliced with the variables' cached bytes (_var_key).
     """
-    b = seed.b
-    ex, m, n = b.ex, b.m, b.n
+    ex, m, n = seed.b.ex, seed.b.m, seed.b.n
     var_keys = [_var_key(v) for v in seed.vars]
     ex_keys = [var_keys[k] for k in ex]
     if len(set(ex_keys)) != n:
@@ -96,13 +89,7 @@ def _canonical(seed):
     pi, inv = list(range(m)), list(range(m))
     for t, j in enumerate(order):
         pi[ex[j]], inv[ex[t]] = ex[t], ex[j]
-    rows = b.rows()
-    head = {"m": m, "n": n, "ex": [k + 1 for k in ex]}
-    head["B"] = [[rows[i][j] for j in order] for i in inv]
-    if isinstance(seed, QuantumSeed):
-        lam = seed.lam.rows()
-        head["Lambda"] = [[lam[i][j] for j in inv] for i in inv]
-        head["d"] = [seed.d[j] for j in order]
+    head = seed._record(inv, order)
     vars_ = b",".join([var_keys[i] for i in inv])
     return inv, head, tuple(pi), b'%s,"vars":[%s]}' % (_json_bytes(head)[:-1], vars_)
 
@@ -112,9 +99,7 @@ def _relabeled(seed, inv, head):
     if inv == sorted(inv):
         return seed
     b, new_vars = ExchangeMatrix(head["B"], seed.b.ex), tuple(seed.vars[i] for i in inv)
-    if isinstance(seed, QuantumSeed):
-        return QuantumSeed(SkewMatrix(head["Lambda"]), b, new_vars, tuple(head["d"]))
-    return ClassicalSeed(b, new_vars)
+    return seed._relabeled(b, new_vars, head)
 
 
 def canonical_form(seed):

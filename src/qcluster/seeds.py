@@ -309,8 +309,15 @@ def principal_extension(bmat: Sequence[Sequence[int]]) -> ExchangeMatrix:
     return ExchangeMatrix(rows, range(n))
 
 
+def _relabel(rows, inv, order) -> list[list[int]]:
+    """Row i is row inv[i] and column j is column order[j]; without inv, a copy of rows."""
+    if inv is None:
+        return [list(row) for row in rows]
+    return [[rows[i][j] for j in order] for i in inv]
+
+
 class _Seed:
-    """What the two seed types share: m variables over the exchange matrix b."""
+    """What the seed types share: m variables over b, their record and its rebuild."""
 
     def __post_init__(self):
         if len(self.vars) != self.b.m:
@@ -331,6 +338,17 @@ class _Seed:
     def cluster(self) -> tuple:
         """The exchangeable variables, in ex order."""
         return tuple(self.vars[k] for k in self.b.ex)
+
+    def _record(self, inv=None, order=None) -> dict:
+        """dump_seed's entries but "vars"; given inv and order, those of _relabel's seed."""
+        b = self.b
+        out = {"m": b.m, "n": b.n, "ex": [k + 1 for k in b.ex]}
+        out["B"] = _relabel(b.rows(), inv, order)
+        return out
+
+    def _relabeled(self, b: ExchangeMatrix, new_vars: tuple, record: dict):
+        """The seed over b and new_vars whose _record(inv, order) is record."""
+        return type(self)(b, new_vars)
 
 
 @dataclass(frozen=True)
@@ -376,6 +394,15 @@ class QuantumSeed(_Seed):
         m = b.m
         gens = tuple(TorusElement.generator(lam, i) for i in range(m))
         return cls(lam, b, gens, d)
+
+    def _record(self, inv=None, order=None) -> dict:
+        out = super()._record(inv, order)
+        out["Lambda"] = _relabel(self.lam.rows(), inv, inv)
+        out["d"] = list(self.d) if inv is None else [self.d[j] for j in order]
+        return out
+
+    def _relabeled(self, b: ExchangeMatrix, new_vars: tuple, record: dict):
+        return type(self)(SkewMatrix(record["Lambda"]), b, new_vars, tuple(record["d"]))
 
 
 def principal_seed(
@@ -455,16 +482,7 @@ def dump_seed(seed: ClassicalSeed | QuantumSeed, full: bool = False) -> dict:
     records in initial-frame coordinates); such files are reports, not
     load_seed inputs.
     """
-    b = seed.b
-    out: dict = {
-        "m": b.m,
-        "n": b.n,
-        "ex": [k + 1 for k in b.ex],
-        "B": [list(row) for row in b.rows()],
-    }
-    if isinstance(seed, QuantumSeed):
-        out["Lambda"] = [list(row) for row in seed.lam.rows()]
-        out["d"] = list(seed.d)
+    out = seed._record()
     if full:
         out["vars"] = [v.to_json() for v in seed.vars]
     return out

@@ -146,6 +146,28 @@ def ref_skew_symmetrizer(b) -> tuple[int, ...]:
     return tuple(d)
 
 
+def positive_roots(cartan) -> set[tuple[int, ...]]:
+    """The positive roots of a finite-type Cartan matrix, in the simple-root basis.
+
+    Reflects the simple roots until no new root appears, with
+    s_i(beta) = beta - (sum_j a_ij beta_j) alpha_i; a reflection that
+    turns a root negative is dropped, since s_i permutes the positive
+    roots other than alpha_i.  Never ends for a matrix of infinite type.
+    """
+    n = len(cartan)
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots, todo = set(simple), list(simple)
+    while todo:
+        beta = todo.pop()
+        for i in range(n):
+            c = sum(cartan[i][j] * beta[j] for j in range(n))
+            image = tuple(b - c * (j == i) for j, b in enumerate(beta))
+            if min(image) >= 0 and image not in roots:
+                roots.add(image)
+                todo.append(image)
+    return roots
+
+
 # -- the tuple-keyed Laurent kernel -------------------------------------------
 #
 # The term-map loops CommLaurent and TorusElement ran on before exponent

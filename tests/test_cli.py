@@ -239,6 +239,17 @@ def test_mutate_text_format(capsys, a2_file):
     assert "B:" in out
 
 
+@pytest.mark.parametrize("full", [False, True])
+def test_mutate_text_lists_vars_only_with_full(capsys, a2q_file, full):
+    argv = ["mutate", a2q_file, "--at", "1,2", "--format", "text"]
+    code, out, err = run(capsys, argv + ["--full"] * full)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines.count("vars:") == full
+    if full:
+        assert lines[lines.index("vars:") + 1].startswith("  [1] ")
+
+
 def test_mutate_frozen_direction_exits_2(capsys, m2n1_file):
     code, out, err = run(capsys, ["mutate", m2n1_file, "--at", "2"])
     assert code == 2
@@ -596,6 +607,7 @@ GOLDEN_RUNS = [
     ("mutate", "g2", ["--at", "1,2,1,2", "--format", "text"], 0),
     ("mutate", "a2q", ["--at", "1,2", "--full"], 0),
     ("mutate", "b2q", ["--at", "2,1,2", "--format", "text"], 0),
+    ("mutate", "b2q", ["--at", "2,1,2", "--full", "--format", "text"], 0),
     ("mutate", "kron", ["--at", "1,2,1", "--full"], 0),
     ("mutate", "a2q", ["--at", "3"], 2),
     ("explore", "a2", [], 0),
@@ -624,7 +636,7 @@ GOLDEN_RUNS = [
 # sha256 of each verb's stdout, concatenated in GOLDEN_RUNS order
 GOLDEN_SHA256 = {
     "check": "be29331450bd623eff57437c3bc429df4769e69f237efa705e4c5146c2c9b4b7",
-    "mutate": "46e40e74912765dc7c64aefc067fcbdb274cba7f19795ab12f3da81af9309eef",
+    "mutate": "a94f2ee697723898ee71a3c18acdbe381bc4d7396f82a0b42f2442413d9051dc",
     "explore": "5ed46b5652c217835ebf43382dce58064e462e6b396b6b988c0540d679ce5291",
     "specialize": "94ef561b6a716dbb7b5b03be11f6d5c08d86bd55da211f00b8e55516b974be6b",
     "principal-lambda": "b3a3e5d4c6e8ef9cdffcea1611b667af6e188b93d006ed139cedf4ca71e337d0",

@@ -618,8 +618,23 @@ def compact(data) -> bytes:
 
 
 def reference_key(seed):
-    """The key as the serialization of the built canonical seed."""
-    return compact(dump_seed(canonical_form(seed)[0], full=True))
+    """The key as the bytes of the built canonical seed's record, written out here.
+
+    The record is built by hand, not by dump_seed, so the spliced key is
+    checked against a writer that shares no code with it.
+    """
+    canon = canonical_form(seed)[0]
+    record = {
+        "m": canon.m,
+        "n": canon.n,
+        "ex": [k + 1 for k in canon.ex],
+        "B": [list(row) for row in canon.b.rows()],
+        "vars": [v.to_json() for v in canon.vars],
+    }
+    if isinstance(canon, QuantumSeed):
+        record["Lambda"] = [list(row) for row in canon.lam.rows()]
+        record["d"] = list(canon.d)
+    return compact(record)
 
 
 def relabeled(seed, perm):

@@ -30,6 +30,7 @@ from helpers import (
     random_principal_quantum_seed,
     random_skew,
 )
+from oracles import positive_roots
 
 L2 = SkewMatrix([[0, 1], [-1, 0]])
 
@@ -314,6 +315,81 @@ def test_quantum_positivity(rows, depth, lambdas):
         graph = explore(root, max_depth=depth)
         assert graph.node_count > 1
         assert _non_positive(graph) == []
+
+
+# -- denominators: the d-vectors are the almost positive roots -------------
+# For a bipartite B of finite type, the denominator vectors of the cluster
+# variables are the almost positive roots of the Cartan companion A(B)
+# (a_ii = 2, a_ij = -|b_ij|), the initial x_i giving -alpha_i (Fomin-
+# Zelevinsky, Invent. Math. 154, 2003, Thm 1.9).  For the rank-2 affine
+# [[0,2],[-2,0]] the others are the real roots (k, k+1) and (k+1, k)
+# (Sherman-Zelevinsky, Moscow Math. J. 4, 2004).  The d-vector is read
+# off the support, not LaurentRow.denominator, which clips -1 to 0.
+
+
+def _cartan(n, bonds):
+    """a_ii = 2, and a_ij = -p, a_ji = -q for each bond (i, j, p, q)."""
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, p, q in bonds:
+        a[i][j], a[j][i] = -p, -q
+    return a
+
+
+def _path(n, last=(1, 1)):
+    """The bonds of the path 0 - 1 - ... - (n-1), the last one (p, q) = last."""
+    return [(i, i + 1, 1, 1) for i in range(n - 2)] + [(n - 2, n - 1, *last)]
+
+
+CARTAN = {
+    "A5": _cartan(5, _path(5)),
+    "B3": _cartan(3, _path(3, (1, 2))),
+    "C3": _cartan(3, _path(3, (2, 1))),
+    "D4": _cartan(4, [(0, 1, 1, 1), (1, 2, 1, 1), (1, 3, 1, 1)]),
+    "F4": _cartan(4, [(0, 1, 1, 1), (1, 2, 1, 2), (2, 3, 1, 1)]),
+    "G2": _cartan(2, [(0, 1, 1, 3)]),
+    "E6": _cartan(6, [(0, 1, 1, 1), (1, 2, 1, 1), (2, 3, 1, 1), (3, 4, 1, 1), (2, 5, 1, 1)]),
+}
+
+
+def _bipartite(cartan):
+    """The B with b_ij = -s_i a_ij off the diagonal, s = +-1 alternating along bonds."""
+    n = len(cartan)
+    sign, todo = {0: 1}, [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if cartan[i][j] and j not in sign:
+                sign[j] = -sign[i]
+                todo.append(j)
+    return [[0 if i == j else -sign[i] * cartan[i][j] for j in range(n)] for i in range(n)]
+
+
+# quantum F4 and E6 are too slow for tier-1, so only their classical cases run
+ROOT_CASES = (
+    [(name, False) for name in CARTAN]
+    + [(name, True) for name in ("A5", "B3", "C3", "D4", "G2")]
+    + [("kronecker", False), ("kronecker", True)]
+)
+ROOT_IDS = [f"{name}-{'quantum' if quantum else 'classical'}" for name, quantum in ROOT_CASES]
+
+
+@pytest.mark.parametrize("name, quantum", ROOT_CASES, ids=ROOT_IDS)
+def test_denominators_are_almost_positive_roots(name, quantum):
+    if name == "kronecker":
+        rows, depth = KRONECKER, 8 if quantum else 16
+        roots = {(k, k + 1) for k in range(depth)} | {(k + 1, k) for k in range(depth)}
+    else:
+        rows, depth, roots = _bipartite(CARTAN[name]), None, positive_roots(CARTAN[name])
+    n = len(rows)
+    root = principal_seed(rows) if quantum else ClassicalSeed.initial(ExchangeMatrix(rows))
+    graph = explore(root, max_depth=depth)
+    d_vectors = {
+        tuple(-x for x in seed.vars[k].min_exponents()[:n])
+        for seed in graph.nodes.values()
+        for k in seed.ex
+    }
+    negative_simple = {tuple(-int(i == j) for j in range(n)) for i in range(n)}
+    assert d_vectors == roots | negative_simple
 
 
 def test_mutate_dispatch():
