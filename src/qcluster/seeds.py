@@ -310,9 +310,7 @@ def principal_extension(bmat: Sequence[Sequence[int]]) -> ExchangeMatrix:
 
 
 def _relabel(rows, inv, order) -> list[list[int]]:
-    """Row i is row inv[i] and column j is column order[j]; without inv, a copy of rows."""
-    if inv is None:
-        return [list(row) for row in rows]
+    """Row i is row inv[i] and column j is column order[j]."""
     return [[rows[i][j] for j in order] for i in inv]
 
 
@@ -339,8 +337,8 @@ class _Seed:
         """The exchangeable variables, in ex order."""
         return tuple(self.vars[k] for k in self.b.ex)
 
-    def _record(self, inv=None, order=None) -> dict:
-        """dump_seed's entries but "vars"; given inv and order, those of _relabel's seed."""
+    def _record(self, inv, order) -> dict:
+        """dump_seed's entries but "vars" for the seed relabeled by _relabel(…, inv, order)."""
         b = self.b
         out = {"m": b.m, "n": b.n, "ex": [k + 1 for k in b.ex]}
         out["B"] = _relabel(b.rows(), inv, order)
@@ -395,10 +393,10 @@ class QuantumSeed(_Seed):
         gens = tuple(TorusElement.generator(lam, i) for i in range(m))
         return cls(lam, b, gens, d)
 
-    def _record(self, inv=None, order=None) -> dict:
+    def _record(self, inv, order) -> dict:
         out = super()._record(inv, order)
         out["Lambda"] = _relabel(self.lam.rows(), inv, inv)
-        out["d"] = list(self.d) if inv is None else [self.d[j] for j in order]
+        out["d"] = [self.d[j] for j in order]
         return out
 
     def _relabeled(self, b: ExchangeMatrix, new_vars: tuple, record: dict):
@@ -482,7 +480,7 @@ def dump_seed(seed: ClassicalSeed | QuantumSeed, full: bool = False) -> dict:
     records in initial-frame coordinates); such files are reports, not
     load_seed inputs.
     """
-    out = seed._record()
+    out = seed._record(range(seed.m), range(seed.n))
     if full:
         out["vars"] = [v.to_json() for v in seed.vars]
     return out
