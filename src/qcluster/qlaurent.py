@@ -173,19 +173,27 @@ def _int_mul_into(acc: dict, left: dict, right: dict, packing) -> None:
                 del acc[k]
 
 
+def _int_collect(rc: int) -> int:
+    """An integer remainder entry is its coefficient: the steps subtract at once."""
+    return rc
+
+
 def _int_division_step(g: dict, b: int, packing):
     """The step of exact division by g, whose leading term is g[b] X^b.
 
     step(rem, rc, a, av) returns c = rc / g[b] (or raises
-    NotDivisibleError) and subtracts (c X^a) * g from rem.
+    NotDivisibleError) and subtracts (c X^a) * (g - g[b] X^b) from rem;
+    the leading product cancels rc X^{a+b}, which the loop has popped.
     """
     cg = g[b]
+    rest = dict(g)
+    del rest[b]
 
     def step(rem: dict, rc: int, a: int, av) -> int:
         c, leftover = divmod(rc, cg)
         if leftover:
             raise NotDivisibleError(f"leading coefficient {rc} not divisible by {cg}")
-        _int_mul_into(rem, {a: -c}, g, packing)
+        _int_mul_into(rem, {a: -c}, rest, packing)
         return c
 
     return step
@@ -204,11 +212,18 @@ class _SparseLaurent:
     hashing; the constructors and views over a frame of width m belong
     to _FramedLaurent (torus).  Subclasses supply the coefficient ring
     (_scalar), the keys (_packing), their error wording (_RING,
-    _MISMATCH), the product kernel (_mul_into) and the step of exact
-    division (_division_step(g, b, packing), built once per division by
-    g with leading term g[b] X^b: it divides the leading coefficients
-    and subtracts the quotient term times g).  Division is right-only;
-    the torus derives its left division through bar.
+    _MISMATCH), the product kernel (_mul_into) and the two halves of
+    exact division's loop:
+    - _division_step(g, b, packing), built once per division by g with
+      leading term g[b] X^b: its step divides the leading coefficients
+      and subtracts the quotient term times the rest of g from the
+      remainder, at once or filed per product monomial;
+    - _collect(entry), the coefficient of a remainder entry once its
+      monomial is on top: the identity for integer coefficients, which
+      the step subtracts at once; for the torus, the sum of the products
+      filed under it, decoded once.
+    Division is right-only; the torus derives its left division through
+    bar.
     """
 
     __slots__ = ("_frame", "_terms")
@@ -302,9 +317,14 @@ class _SparseLaurent:
         """h with h * g == self, else NotDivisibleError.
 
         Greedy cancellation of the leading term (graded-lex; plain
-        exponent order for QLaurent).  Every quotient exponent lies in
-        the box [min f - min g, max f - max g], taken componentwise over
-        the supports, so the loop stops as soon as one would leave it.
+        exponent order for QLaurent).  Each turn pops the top monomial t
+        of the remainder and collects its coefficient; one that comes out
+        zero (its subtractions cancel) is skipped.  Otherwise the step
+        finds the quotient term c X^a with a = t - b, whose product with
+        the leading term g[b] X^b cancels the popped term, and subtracts
+        c X^a times the rest of g.  Every quotient exponent lies in the
+        box [min f - min g, max f - max g], taken componentwise over the
+        supports, so the loop stops as soon as one would leave it.
         Inside the box, every product exponent lies in the support box
         of f, so the subtraction cannot overflow.
         """
@@ -327,7 +347,7 @@ class _SparseLaurent:
         lo, hi = list(map(sub, f_lo, g_lo)), list(map(sub, f_hi, g_hi))
         if any(map(gt, lo, hi)):
             raise NotDivisibleError("divisor support exceeds dividend support")
-        within = packing.within
+        within, collect = packing.within, self._collect
         b = max(g)
         shift = packing.base - b
         step = self._division_step(g, b, packing)
@@ -335,14 +355,17 @@ class _SparseLaurent:
         quot: dict = {}
         while rem:
             t = max(rem)
+            rc = collect(rem.pop(t))
+            if not rc:  # the subtractions filed under t cancel
+                continue
             a = t + shift
             if a & top:
                 raise OverflowError(f"quotient exponent leaves {_RANGE}")
             av = within(a, lo, hi)
             if av is None:
                 raise NotDivisibleError("leading term of remainder is not reducible")
-            # subtract (c X^a) * g from the remainder
-            quot[a] = step(rem, rem[t], a, av)
+            # subtract (c X^a) * (g - g[b] X^b) from the remainder
+            quot[a] = step(rem, rc, a, av)
         return self._raw(frame, quot)
 
     # -- comparison / serialization ------------------------------------
@@ -368,6 +391,7 @@ class QLaurent(_SparseLaurent):
     _RING = "QLaurent"
     _scalar = staticmethod(_int_scalar)
     _mul_into = staticmethod(_int_mul_into)
+    _collect = staticmethod(_int_collect)
     _division_step = staticmethod(_int_division_step)
 
     # Bound here for the benchmark tracer (perfbench/tracing.py), which

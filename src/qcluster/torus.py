@@ -18,8 +18,9 @@ the scalar ring QLaurent, are the sparse kernel _SparseLaurent
 (qlaurent), here with the frame-taking constructors and views of
 _FramedLaurent; TorusElement and CommLaurent supply only their
 coefficient ring, frame, product rule and rendering.  The torus
-product multiplies its Z[v^(+-1)] coefficients as single ints
-(Kronecker substitution); those helpers sit just before TorusElement.
+product and exact division multiply their Z[v^(+-1)] coefficients as
+single ints (Kronecker substitution); those helpers sit just before
+TorusElement.
 
 All values are immutable; all operations are pure.
 """
@@ -34,6 +35,7 @@ from .errors import FrameMismatchError, NotDivisibleError
 from .qlaurent import (
     QLaurent,
     _add_into,
+    _int_collect,
     _int_division_step,
     _int_mul_into,
     _int_scalar,
@@ -243,24 +245,29 @@ class _FramedLaurent(_SparseLaurent):
 
 # -- Kronecker substitution: QLaurent coefficients as single ints --------------
 #
-# The torus product multiplies Z[v^±1] coefficients by substituting v = 2^k
-# (Harvey, "Faster polynomial multiplication via multipoint Kronecker
-# substitution", J. Symbolic Comput. 44, 2009): a run of terms c_e v^e becomes
-# its lowest v-exponent lo and the image sum c_e 2^(k (e - lo)), one product
-# of runs becomes one int product, and a sum of products is decoded once into
-# balanced base-2^k digits.  Decoding is exact while every digit d of the sum
-# satisfies |d| < 2^(k - 1); _v_width derives k from the operands so that it
-# does, with no tolerance.
+# The torus product and exact division multiply Z[v^±1] coefficients by
+# substituting v = 2^k (Harvey, "Faster polynomial multiplication via
+# multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009): a run of
+# terms c_e v^e becomes its lowest v-exponent lo and the image sum
+# c_e 2^(k (e - lo)), one product of runs becomes one int product, and the
+# products that reach one monomial are summed as ints and decoded once into
+# balanced base-2^k digits (_v_sum, the one summation).  Decoding is exact
+# while every digit d of the sum satisfies |d| < 2^(k - 1); _v_width derives k
+# from a bound on the digits, with no tolerance.  Each caller bounds its own:
+#   - the product from both operands, before it forms any product
+#     (TorusElement._mul_scanned);
+#   - the division per monomial, from the pairs (divisor term, quotient term)
+#     filed under it, when it reaches the top of the remainder: the quotient
+#     terms are known only then (TorusElement._collect).
 #
 # An image costs k bits per v-power it spans, so the cost is kept in
 # proportion to the terms, not to the span: a coefficient is cut into runs
 # whose consecutive exponents lie at most _GAP apart (_v_runs), and a sum
 # takes in a contribution only if the two lie at most _GAP digits apart
-# (TorusElement._mul_scanned); one further away is summed apart, per
-# lowest v-exponent, and decoded on its own (_v_decode_apart).  Every int
-# then spans at most 2 _GAP + 1 digits per product of two terms it holds,
-# however far apart the exponents lie (they grow with the entries of
-# Lambda and of the symmetrizer).
+# (_v_sum); one further away is summed apart, per lowest v-exponent, and
+# decoded on its own (_v_decode_apart).  Every int then spans at most
+# 2 _GAP + 1 digits per product of two terms it holds, however far apart the
+# exponents lie (they grow with the entries of Lambda and of the symmetrizer).
 
 _GAP = 8
 
@@ -268,12 +275,12 @@ _GAP = 8
 def _v_scan(terms: dict, unpack) -> list:
     """One pass over a term map {key: QLaurent} for Kronecker products.
 
-    Returns [entries, big, longest, k, runs]: big is the largest
+    Returns [entries, big, longest, cuts]: big is the largest
     |coefficient| and longest the most terms in one coefficient.  An
     entry is (key, unpack(key), lo, x) for a 1-term coefficient x v^lo,
     its own image whatever k is, and (key, unpack(key), None, terms) for
-    a longer one; _v_cut lists the runs at a width k and keeps the last
-    list it made in the two trailing slots.
+    a longer one; _v_cut lists the runs at a width k and keeps each list
+    it made in cuts (None before the first), by k.
     """
     entries: list = []
     big = longest = 1
@@ -290,23 +297,37 @@ def _v_scan(terms: dict, unpack) -> list:
             x = max(map(abs, t.values()))
         if x > big:
             big = x
-    return [entries, big, longest, None, None]
+    return [entries, big, longest, None]
+
+
+def _no_vec(key: int) -> tuple:
+    """An unpack to the empty vector, whose twist with any vector is 0.
+
+    For the scans of exact division whose exponent vectors no twist needs.
+    """
+    return ()
+
+
+_UNIT = _v_scan({0: QLaurent.one()}, _no_vec)  # X^0 keyed 0: a pair with it adds c X^t at t
 
 
 def _v_cut(scan: list, k: int) -> list:
     """(key, unpack(key), lowest v-exponent, image at v = 2^k) for every run of a scan."""
     if scan[2] == 1:  # every coefficient has one term, so each entry is a run
         return scan[0]
-    if scan[3] != k:
-        runs: list = []
+    cuts = scan[3]
+    if cuts is None:
+        cuts = scan[3] = {}
+    runs = cuts.get(k)
+    if runs is None:
+        runs = cuts[k] = []
         for entry in scan[0]:
             key, vec, lo, t = entry
             if lo is None:
                 runs += [(key, vec, start, x) for start, x in _v_runs(t, k)]
             else:
                 runs.append(entry)
-        scan[3:] = k, runs
-    return scan[4]
+    return runs
 
 
 def _v_runs(t: dict, k: int) -> list[tuple[int, int]]:
@@ -328,15 +349,13 @@ def _v_runs(t: dict, k: int) -> list[tuple[int, int]]:
 
 
 def _v_width(bound: int) -> int:
-    """The digit width k for a product whose digits are at most bound in size.
+    """The digit width k for a sum of run products whose digits are at most bound in size.
 
-    The product must give each output digit at most min(len(left),
-    len(right)) coefficient pairs, as a monomial-graded product does (a
-    left term meets at most one right term per output term).  A pair adds
-    at most min(longest) products of two coefficients, so every digit of
-    every partial sum satisfies |digit| <= bound = max|left| * max|right|
-    * min(term counts) * min(longest) < 2^(k - 1) for k = bits(bound) +
-    1, rounded up to 8, 16, 32, 64 or a multiple of 8 for _v_digits.
+    A product of runs x and y has digits of size at most max|x| * max|y|
+    * min(len(x), len(y)), and a sum of products at most the sum of their
+    bounds; the callers state theirs.  Every digit of every partial sum
+    then satisfies |digit| <= bound < 2^(k - 1) for k = bits(bound) + 1,
+    rounded up to 8, 16, 32, 64 or a multiple of 8 for _v_digits.
     """
     bits = bound.bit_length() + 1
     for k in _WORDS:
@@ -346,6 +365,56 @@ def _v_width(bound: int) -> int:
 
 
 _WORDS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct codes of k-bit unsigned words
+
+
+def _v_sum(outer, k: int) -> list[tuple[int, QLaurent]]:
+    """[(key, coefficient)] summing the products of runs at v = 2^k.
+
+    outer holds (s, lo_s, x, ls, inner) and inner (t, tv, lo_t, y): runs
+    x v^lo_s of key s and y v^lo_t of key t, whose product x y adds to
+    key s + t at the v-exponent lo_s + lo_t + tv . ls (the twist).  The
+    products of one key are summed as (lowest v-exponent, int), shifted
+    into line when one starts lower; one further than _GAP digits (beyond
+    the bits of the int it would shift) is summed apart, per lowest
+    v-exponent, and decoded on its own (_v_decode_apart).  Each sum is
+    decoded once, so no int grows with the gaps between v-exponents, only
+    with its terms.
+    """
+    reach = _GAP * k
+    sums: dict = {}  # key -> (lo, int)
+    far: dict = {}  # key -> {lo: int}, the contributions too far from sums[key]
+    get = sums.get
+    for s, lo_s, x, ls, inner in outer:
+        for t, tv, lo_t, y in inner:
+            key = s + t
+            lo = lo_s + lo_t + sum(map(mul, tv, ls))
+            xy = x * y
+            prev = get(key)
+            if prev is None:
+                sums[key] = (lo, xy)
+                continue
+            # within reach, the shift costs no more bits than the two ints
+            # and _GAP digits; the first test spares the bit count
+            p, z = prev
+            if lo >= p:
+                d = k * (lo - p)
+                if d <= reach or d <= reach + z.bit_length():
+                    sums[key] = (p, z + (xy << d))
+                    continue
+            else:
+                d = k * (p - lo)
+                if d <= reach or d <= reach + xy.bit_length():
+                    sums[key] = (lo, (z << d) + xy)
+                    continue
+            pieces = far.get(key)
+            if pieces is None:
+                far[key] = {lo: xy}
+            else:
+                pieces[lo] = pieces.get(lo, 0) + xy
+    out = _v_decode(sums.items(), k)
+    if far:
+        out += _v_decode_apart(far, k)
+    return out
 
 
 def _v_decode(sums, k: int) -> list[tuple[object, QLaurent]]:
@@ -466,12 +535,11 @@ class TorusElement(_FramedLaurent):
         """Add the product of two scanned term maps (_v_scan) into acc.
 
         Coefficients are multiplied as ints at v = 2^k (Kronecker
-        substitution): each pair of runs costs one int product, summed
-        per output term as (lowest v-exponent, int) and shifted into line
-        when a contribution starts lower; each sum is decoded once.  A
-        contribution more than _GAP digits from the sum of its output
-        term is summed apart (_v_decode_apart), so no int grows
-        with the gaps between v-exponents, only with its terms.
+        substitution): each pair of runs costs one int product, and the
+        products of each output term are summed and decoded once (_v_sum).
+        A left term meets at most one right term per output term, so an
+        output term sums at most min(term counts) coefficient pairs, each
+        of digits at most max|left| * max|right| * min(longest) in size.
         """
         # The twist Lambda(a, b) is a . (Lambda b) = b . (-Lambda a): one
         # image per term of the operand with fewer terms (outer), one dot
@@ -480,56 +548,49 @@ class TorusElement(_FramedLaurent):
         if len(left[0]) > len(right[0]):
             outer, inner, flip = right, left, False
         k = _v_width(left[1] * right[1] * len(outer[0]) * min(left[2], right[2]))
-        outer, inner = _v_cut(outer, k), _v_cut(inner, k)
-        image = self._frame.image
-        reach = _GAP * k
-        sums: dict = {}  # key -> (lo, int)
-        far: dict = {}  # key -> {lo: int}, the contributions too far from sums[key]
-        get = sums.get
-        for s, sv, lo_s, x in outer:
-            ls = [-w for w in image(sv)] if flip else image(sv)
-            s -= packing.base
-            for t, tv, lo_t, y in inner:
-                key = s + t
-                lo = lo_s + lo_t + sum(map(mul, tv, ls))
-                xy = x * y
-                prev = get(key)
-                if prev is None:
-                    sums[key] = (lo, xy)
-                    continue
-                # within reach, the shift costs no more bits than the two
-                # ints and _GAP digits; the first test spares the bit count
-                p, z = prev
-                if lo >= p:
-                    d = k * (lo - p)
-                    if d <= reach or d <= reach + z.bit_length():
-                        sums[key] = (p, z + (xy << d))
-                        continue
-                else:
-                    d = k * (p - lo)
-                    if d <= reach or d <= reach + xy.bit_length():
-                        sums[key] = (lo, (z << d) + xy)
-                        continue
-                pieces = far.get(key)
-                if pieces is None:
-                    far[key] = {lo: xy}
-                else:
-                    pieces[lo] = pieces.get(lo, 0) + xy
-        _add_into(acc, _v_decode(sums.items(), k))
-        if far:
-            _add_into(acc, _v_decode_apart(far, k))
+        image, base, inner = self._frame.image, packing.base, _v_cut(inner, k)
+        outer = [(s - base, lo_s, x, [-w for w in image(sv)] if flip else image(sv), inner)
+                 for s, sv, lo_s, x in _v_cut(outer, k)]
+        _add_into(acc, _v_sum(outer, k))
+
+    @staticmethod
+    def _collect(entry) -> QLaurent | None:
+        """The coefficient of a remainder entry of exact division, or None.
+
+        An entry is a coefficient of the dividend that no subtraction has
+        reached, or the list of pairs (y, ly, x) that _division_step filed
+        under its monomial: one-term scans of y X^b, keyed b - base, and
+        of x X^a, keyed a, with ly = Lambda b.  Each pair adds (x X^a) *
+        (y X^b) = x y v^(a . ly) X^(a+b) at the key a + b - base of the
+        monomial.  A coefficient c X^t of the dividend joins the list as
+        (the scan of c keyed t, any ly, _UNIT).  The digits of the sum are
+        at most the sum over the pairs of max|x| * max|y| * min(longest)
+        in size, which gives k; the pairs are summed as ints at v = 2^k and
+        decoded once (_v_sum).  None when they cancel.
+        """
+        if type(entry) is not list:
+            return entry
+        k = _v_width(sum(x[1] * y[1] * min(x[2], y[2]) for y, _, x in entry))
+        sums = _add_into({}, _v_sum([(s, lo_s, ys, ly, _v_cut(x, k))
+                                     for y, ly, x in entry
+                                     for s, _, lo_s, ys in _v_cut(y, k)], k))
+        return sums.popitem()[1] if sums else None
 
     def _division_step(self, g: dict, b: int, packing: _Packing):
         """The step of exact division by g, whose leading term is g[b] X^b.
 
         step(rem, rc, a, av) returns the c with (c X^a) * (g[b] X^b) ==
-        rc X^{a+b}, or raises NotDivisibleError, and subtracts (c X^a) *
-        g from rem.  The divisor is scanned once per division, not once
-        per step.
+        rc X^{a+b}, or raises NotDivisibleError.  Rather than subtract
+        (c X^a) * g at once, it files the pair of each non-leading term of
+        g and -c X^a under their product monomial in rem, for _collect to
+        sum when that monomial reaches the top; the leading product would
+        cancel rc X^{a+b}, which the loop has popped, so it is never formed.
+        The divisor is scanned and twisted once per division, term by term.
         """
-        unpack, mul_scanned = packing.unpack, self._mul_scanned
-        cg, divisor = g[b], _v_scan(g, unpack)
-        lb = self._frame.image(unpack(b))  # Lambda(a, b) = a . lb
+        unpack, base, image = packing.unpack, packing.base, self._frame.image
+        cg, lb = g[b], image(unpack(b))  # Lambda(a, b) = a . lb
+        rest = [(j - base, _v_scan({j - base: c}, _no_vec), image(unpack(j)))
+                for j, c in g.items() if j != b]
 
         def step(rem: dict, rc: QLaurent, a: int, av) -> QLaurent:
             try:
@@ -538,7 +599,16 @@ class TorusElement(_FramedLaurent):
                 raise NotDivisibleError(
                     "leading coefficient not divisible in Z[q^(1/2), q^(-1/2)]"
                 ) from None
-            mul_scanned(rem, _v_scan({a: -c}, unpack), divisor, packing)
+            x = _v_scan({a: -c}, unpack)
+            for j, y, ly in rest:
+                key = a + j
+                entry = rem.get(key)
+                if entry is None:
+                    rem[key] = [(y, ly, x)]
+                elif type(entry) is list:
+                    entry.append((y, ly, x))
+                else:  # a coefficient of the dividend
+                    rem[key] = [(_v_scan({key: entry}, _no_vec), lb, _UNIT), (y, ly, x)]
             return c
 
         return step
@@ -621,6 +691,7 @@ class CommLaurent(_FramedLaurent):
     _coeff_from_json = staticmethod(from_decimal)
     _scalar = staticmethod(_int_scalar)
     _mul_into = staticmethod(_int_mul_into)
+    _collect = staticmethod(_int_collect)
     _division_step = staticmethod(_int_division_step)
 
     # Bound here for the benchmark tracer, as in TorusElement.

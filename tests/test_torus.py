@@ -715,8 +715,10 @@ def test_kronecker_cost_follows_terms_not_v_span(monkeypatch):
     # Lambda entries of 10^18 put the contributions to one output term
     # about 10^18 v-powers apart, and the coefficients spread as wide; an
     # int spanning such a gap would take 10^19 bits.  Each int a product
-    # decodes spans at most 2 _GAP + 1 digits per product of two terms it
-    # holds, and it holds at most every such product of the operands.
+    # or a division's collect decodes spans at most 2 _GAP + 1 digits per
+    # product of two terms it holds.  A product holds at most every such
+    # product of its operands; a collect holds, for each pair filed under
+    # its monomial, the products of the pair's two coefficients.
     limits, widest = [], []
 
     def terms(scan):
@@ -727,12 +729,21 @@ def test_kronecker_cost_follows_terms_not_v_span(monkeypatch):
         original(self, acc, left, right, packing)
         limits.pop()
 
+    def collect(entry):
+        held = sum(terms(y) * terms(x) for y, _, x in entry) if type(entry) is list else 0
+        limits.append((2 * _GAP + 1) * held)
+        try:
+            return original_collect(entry)
+        finally:
+            limits.pop()
+
     def digits(lo, x, k):
         widest.append((x.bit_length() // k + 1) / limits[-1])
         return _v_digits(lo, x, k)
 
-    original = TorusElement._mul_scanned
+    original, original_collect = TorusElement._mul_scanned, TorusElement._collect
     monkeypatch.setattr(TorusElement, "_mul_scanned", mul_scanned)
+    monkeypatch.setattr(TorusElement, "_collect", staticmethod(collect))
     monkeypatch.setattr(qcluster.torus, "_v_digits", digits)
     big = 10**18
     lam = SkewMatrix([[0, big, 1], [-big, 0, -big], [-1, big, 0]])
@@ -752,6 +763,88 @@ def test_kronecker_cost_follows_terms_not_v_span(monkeypatch):
         x, y = build(), build()
         _check_arithmetic(rng, x, y, build, RefLaurent(3, lam), divisions, _terms, set())
     assert widest and max(widest) <= 1
+
+
+@pytest.mark.parametrize("right", [True, False], ids=["right", "left"])
+def test_division_skips_a_monomial_whose_pairs_cancel(monkeypatch, right):
+    # h = c1 X^(1,0) + c2 X^(0,1) and g = g0 X^(2,0) + y1 X^(1,0) + y2 X^(0,1):
+    # in h * g the pairs c1 X^(1,0) * y2 X^(0,1) and c2 X^(0,1) * y1 X^(1,0)
+    # both reach X^(1,1), twisted by v and v^-1 on L2 (by v^-1 and v in
+    # g * h).  c2 makes them cancel, so X^(1,1) is not in the dividend;
+    # the division files both pairs under it and skips it when it reaches
+    # the top.
+    cancelled = []
+    original = TorusElement._collect
+
+    def collect(entry):
+        rc = original(entry)
+        if type(entry) is list and len(entry) > 1 and not rc:
+            cancelled.append(len(entry))
+        return rc
+
+    monkeypatch.setattr(TorusElement, "_collect", staticmethod(collect))
+    ref = RefLaurent(2, L2)
+    divide = TorusElement.exact_div_right if right else TorusElement.exact_div_left
+    rng = random.Random(41 + right)
+    for _ in range(20):
+        s, sign = rng.randint(-3, 3), rng.choice((-1, 1))
+        y1, y2 = QLaurent.v_power(s, sign), random_nonzero_qlaurent(rng)
+        c1 = random_nonzero_qlaurent(rng)
+        c2 = -(c1 * y2).shift((2 if right else -2) - s) * sign
+        g = TorusElement(L2, {(2, 0): random_nonzero_qlaurent(rng), (1, 0): y1, (0, 1): y2})
+        h = TorusElement(L2, {(1, 0): c1, (0, 1): c2})
+        f = h * g if right else g * h
+        assert f.coefficient((1, 1)) == 0
+        assert _terms(divide(f, g)) == ref.exact_div(_terms(f), _terms(g), right) == _terms(h)
+    assert cancelled and min(cancelled) == 2
+
+
+def test_division_steps_and_messages_match_oracle(monkeypatch):
+    # Each step divides one leading coefficient with QLaurent.exact_div,
+    # in the kernel as in RefLaurent's loop, which subtracts every
+    # product at once; counting those calls shows that a division ends
+    # at the same step, with the same quotient or message.  Half of the
+    # divisors have a leading coefficient of several terms, a shape the
+    # exchange relations never produce.
+    calls = [0]
+    original = QLaurent.exact_div
+
+    def exact_div(self, g):
+        calls[0] += 1
+        return original(self, g)
+
+    def steps(outcome, *args):
+        calls[0] = 0
+        return outcome(*args), calls[0]
+
+    monkeypatch.setattr(QLaurent, "exact_div", exact_div)
+    rng = random.Random(83)
+    failures = set()
+    for _ in range(150):
+        lam = random_skew(rng, rng.randint(1, 3), 2)
+        ref = RefLaurent(lam.m, lam)
+        h, g = (random_nonzero_torus_element(rng, lam) for _ in range(2))
+        if rng.random() < 0.5:
+            b, cg = g.leading()
+            g = g + TorusElement.monomial(lam, b, cg * QLaurent.v_power(rng.choice((-2, 1, 3))))
+            assert len(g.leading()[1]) > 1
+        for right, divide in ((True, TorusElement.exact_div_right),
+                              (False, TorusElement.exact_div_left)):
+            exact = h * g if right else g * h
+            for f in (exact, exact + random_torus_element(rng, lam), h,
+                      exact + TorusElement.monomial(lam, random_vector(rng, lam.m, 3), 1)):
+                got = steps(_div_outcome, divide, f, g, _terms)
+                assert got == steps(_ref_div_outcome, ref, _terms(f), _terms(g), right)
+                if got[0][0] == "NotDivisibleError":
+                    failures.add((got[0][1], got[1] > 0))
+    assert {message for message, _ in failures} == {
+        "divisor support exceeds dividend support",
+        "leading term of remainder is not reducible",
+        "leading coefficient not divisible in Z[q^(1/2), q^(-1/2)]",
+    }
+    # the last two also fail after some steps of subtraction
+    assert ("leading term of remainder is not reducible", True) in failures
+    assert ("leading coefficient not divisible in Z[q^(1/2), q^(-1/2)]", True) in failures
 
 
 def test_v_decode_reads_balanced_digits():
