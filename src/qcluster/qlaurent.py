@@ -2,9 +2,10 @@
 
 _SparseLaurent is the one sparse kernel under all three Laurent rings:
 QLaurent (here), and TorusElement and CommLaurent (torus, through
-_FramedLaurent).  It holds +, -, *, powers, exact division, equality
-and hashing; each ring supplies only its constructors, coefficient
-ring, term keys, product rule and rendering.
+_FramedLaurent).  It holds +, -, *, powers, exact division, equality,
+hashing and the integer coefficient ring; QLaurent and CommLaurent
+supply only their keys, constructors and rendering, and TorusElement
+also its coefficient ring, twisted product and division.
 
 QLaurent is the one-variable case: a Laurent polynomial in the single
 formal variable v = q^(1/2), keyed by the integer v-exponent itself,
@@ -151,7 +152,7 @@ def _int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
     return tup
 
 
-# -- the integer coefficient ring, shared by QLaurent and CommLaurent ---------
+# -- the integer coefficient ring, _SparseLaurent's own -----------------------
 
 
 def _int_scalar(value) -> int | None:
@@ -209,11 +210,14 @@ class _SparseLaurent:
     frames and term maps are.
 
     This kernel holds the arithmetic, exact division, equality and
-    hashing; the constructors and views over a frame of width m belong
-    to _FramedLaurent (torus).  Subclasses supply the coefficient ring
-    (_scalar), the keys (_packing), their error wording (_RING,
-    _MISMATCH), the product kernel (_mul_into) and the two halves of
-    exact division's loop:
+    hashing, and the integer coefficient ring that QLaurent and
+    CommLaurent share: an int, never a bool, is a constant of the ring
+    (_operand) and hashes as that int.  The constructors and views over
+    a frame of width m belong to _FramedLaurent (torus).  Subclasses
+    supply the keys (_packing) and their error wording (_RING,
+    _MISMATCH); TorusElement replaces the ring's four hooks:
+    - _scalar(value), the coefficient that value is, else None;
+    - _mul_into(acc, left, right, packing), the product kernel;
     - _division_step(g, b, packing), built once per division by g with
       leading term g[b] X^b: its step divides the leading coefficients
       and subtracts the quotient term times the rest of g from the
@@ -227,6 +231,10 @@ class _SparseLaurent:
     """
 
     __slots__ = ("_frame", "_terms")
+    _scalar = staticmethod(_int_scalar)
+    _mul_into = staticmethod(_int_mul_into)
+    _collect = staticmethod(_int_collect)
+    _division_step = staticmethod(_int_division_step)
 
     @classmethod
     def _raw(cls, frame, terms: dict):
@@ -244,8 +252,10 @@ class _SparseLaurent:
         return len(self._terms)
 
     def _operand(self, other):
-        """other as an element of this ring (of any frame), else None."""
-        return other if isinstance(other, type(self)) else None
+        """other in this ring (of any frame), an int (no bool) as the constant, else None."""
+        if type(other) is not int:
+            return other if isinstance(other, type(self)) else None
+        return self._raw(self._frame, {self._packing().base: other} if other else {})
 
     def _check_frame(self, other) -> None:
         if self._frame != other._frame:
@@ -377,7 +387,11 @@ class _SparseLaurent:
         return self._frame == other._frame and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self._frame, frozenset(self._terms.items())))
+        terms = self._terms
+        c = terms.get(self._packing().base, 0)
+        if type(c) is int and len(terms) == (c != 0):  # a constant equals its int (_operand)
+            return hash(c)
+        return hash((self._frame, frozenset(terms.items())))
 
 
 class QLaurent(_SparseLaurent):
@@ -389,10 +403,6 @@ class QLaurent(_SparseLaurent):
 
     __slots__ = ()
     _RING = "QLaurent"
-    _scalar = staticmethod(_int_scalar)
-    _mul_into = staticmethod(_int_mul_into)
-    _collect = staticmethod(_int_collect)
-    _division_step = staticmethod(_int_division_step)
 
     # Bound here for the benchmark tracer (perfbench/tracing.py), which
     # wraps them in this class's own __dict__.
@@ -434,6 +444,8 @@ class QLaurent(_SparseLaurent):
     @classmethod
     def q_power(cls, exp: int, coeff: int = 1) -> "QLaurent":
         """The monomial coeff * q^exp."""
+        if type(exp) is not int:
+            raise ValueError(f"exponent must be an integer, got {exp!r}")
         return cls({2 * exp: coeff})
 
     # -- inspection ---------------------------------------------------
@@ -459,11 +471,6 @@ class QLaurent(_SparseLaurent):
 
     # -- ring operations ----------------------------------------------
 
-    def _operand(self, other):
-        if isinstance(other, QLaurent):
-            return other
-        return QLaurent.from_int(other) if isinstance(other, int) else None
-
     def __rsub__(self, other) -> "QLaurent":
         o = self._operand(other)
         if o is None:
@@ -471,26 +478,13 @@ class QLaurent(_SparseLaurent):
         return o + (-self)
 
     def mul_shifted(self, other: "QLaurent", shift: int) -> "QLaurent":
-        """self * other * v^shift in one pass of the schoolbook loop.
-
-        The torus multiplies its coefficients by Kronecker substitution
-        (torus._v_scan and the helpers beside it) instead; this loop stays
-        independent of it.
-        """
-        acc: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            e1s = e1 + shift
-            for e2, c2 in other._terms.items():
-                e = e1s + e2
-                s = acc.get(e, 0) + c1 * c2
-                if s:
-                    acc[e] = s
-                elif e in acc:
-                    del acc[e]
-        return QLaurent._raw(None, acc)
+        """self * other * v^shift."""
+        return (self * other).shift(shift)
 
     def shift(self, exp: int) -> "QLaurent":
         """Multiply by the unit v^exp."""
+        if type(exp) is not int:
+            raise ValueError(f"exponent must be an integer, got {exp!r}")
         return QLaurent._raw(None, {e + exp: c for e, c in self._terms.items()})
 
     def bar(self) -> "QLaurent":

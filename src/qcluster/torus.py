@@ -35,10 +35,6 @@ from .errors import FrameMismatchError, NotDivisibleError
 from .qlaurent import (
     QLaurent,
     _add_into,
-    _int_collect,
-    _int_division_step,
-    _int_mul_into,
-    _int_scalar,
     _int_tuple,
     _packing,
     _Packing,
@@ -182,8 +178,8 @@ class _FramedLaurent(_SparseLaurent):
     def generator(cls, frame, i: int):
         """The i-th generator X_i = X^{e_i} (0-based index)."""
         m = cls._width(frame)
-        if not 0 <= i < m:
-            raise ValueError(f"generator index {i} out of range for m={m}")
+        if type(i) is not int or not 0 <= i < m:
+            raise ValueError(f"generator index {i!r} out of range for m={m}")
         e = [0] * m
         e[i] = 1
         return cls(frame, {tuple(e): 1})
@@ -255,7 +251,7 @@ class _FramedLaurent(_SparseLaurent):
 # while every digit d of the sum satisfies |d| < 2^(k - 1); _v_width derives k
 # from a bound on the digits, with no tolerance.  Each caller bounds its own:
 #   - the product from both operands, before it forms any product
-#     (TorusElement._mul_scanned);
+#     (TorusElement._mul_into);
 #   - the division per monomial, from the pairs (divisor term, quotient term)
 #     filed under it, when it reaches the top of the remainder: the quotient
 #     terms are known only then (TorusElement._collect).
@@ -272,26 +268,27 @@ class _FramedLaurent(_SparseLaurent):
 _GAP = 8
 
 
-def _v_scan(terms: dict, unpack) -> list:
-    """One pass over a term map {key: QLaurent} for Kronecker products.
+def _v_scan(triples) -> list:
+    """One pass over (key, exponent vector, QLaurent) triples for Kronecker products.
 
     Returns [entries, big, longest, cuts]: big is the largest
     |coefficient| and longest the most terms in one coefficient.  An
-    entry is (key, unpack(key), lo, x) for a 1-term coefficient x v^lo,
-    its own image whatever k is, and (key, unpack(key), None, terms) for
-    a longer one; _v_cut lists the runs at a width k and keeps each list
-    it made in cuts (None before the first), by k.
+    entry is (key, vector, lo, x) for a 1-term coefficient x v^lo, its
+    own image whatever k is, and (key, vector, None, terms) for a longer
+    one; _v_cut lists the runs at a width k and keeps each list it made
+    in cuts (None before the first), by k.  The vector is () where no
+    twist reads it.
     """
     entries: list = []
     big = longest = 1
-    for key, c in terms.items():
+    for key, vec, c in triples:
         t = c._terms
         if len(t) == 1:
             ((lo, x),) = t.items()
-            entries.append((key, unpack(key), lo, x))
+            entries.append((key, vec, lo, x))
             x = abs(x)
         else:
-            entries.append((key, unpack(key), None, t))
+            entries.append((key, vec, None, t))
             if len(t) > longest:
                 longest = len(t)
             x = max(map(abs, t.values()))
@@ -300,19 +297,11 @@ def _v_scan(terms: dict, unpack) -> list:
     return [entries, big, longest, None]
 
 
-def _no_vec(key: int) -> tuple:
-    """An unpack to the empty vector, whose twist with any vector is 0.
-
-    For the scans of exact division whose exponent vectors no twist needs.
-    """
-    return ()
-
-
-_UNIT = _v_scan({0: QLaurent.one()}, _no_vec)  # X^0 keyed 0: a pair with it adds c X^t at t
+_UNIT = _v_scan([(0, (), QLaurent.one())])  # X^0 keyed 0: a pair with it adds c X^t at t
 
 
 def _v_cut(scan: list, k: int) -> list:
-    """(key, unpack(key), lowest v-exponent, image at v = 2^k) for every run of a scan."""
+    """(key, vector, lowest v-exponent, image at v = 2^k) for every run of a scan."""
     if scan[2] == 1:  # every coefficient has one term, so each entry is a run
         return scan[0]
     cuts = scan[3]
@@ -505,6 +494,10 @@ class TorusElement(_FramedLaurent):
     def lam(self) -> SkewMatrix:
         return self._frame
 
+    def _operand(self, other):
+        """other as a torus element (of any frame), else None: no int is one."""
+        return other if isinstance(other, TorusElement) else None
+
     @staticmethod
     def _scalar(value) -> QLaurent | None:
         if isinstance(value, QLaurent):
@@ -527,20 +520,20 @@ class TorusElement(_FramedLaurent):
         return self._scaled(c)
 
     def _mul_into(self, acc: dict, left: dict, right: dict, packing: _Packing) -> None:
-        """Add the product of the term maps left * right into acc."""
-        unpack = packing.unpack
-        self._mul_scanned(acc, _v_scan(left, unpack), _v_scan(right, unpack), packing)
+        """Add the product of the term maps left * right into acc.
 
-    def _mul_scanned(self, acc: dict, left: list, right: list, packing: _Packing) -> None:
-        """Add the product of two scanned term maps (_v_scan) into acc.
-
-        Coefficients are multiplied as ints at v = 2^k (Kronecker
-        substitution): each pair of runs costs one int product, and the
-        products of each output term are summed and decoded once (_v_sum).
+        Each map is scanned (_v_scan) with its exponent vectors, which the
+        twist reads, and the coefficients are multiplied as ints at v = 2^k
+        (Kronecker substitution): each pair of runs costs one int product,
+        and the products of each output term are summed and decoded once
+        (_v_sum).
         A left term meets at most one right term per output term, so an
         output term sums at most min(term counts) coefficient pairs, each
         of digits at most max|left| * max|right| * min(longest) in size.
         """
+        unpack = packing.unpack
+        left = _v_scan(zip(left, map(unpack, left), left.values()))
+        right = _v_scan(zip(right, map(unpack, right), right.values()))
         # The twist Lambda(a, b) is a . (Lambda b) = b . (-Lambda a): one
         # image per term of the operand with fewer terms (outer), one dot
         # product per pair of runs.
@@ -589,7 +582,7 @@ class TorusElement(_FramedLaurent):
         """
         unpack, base, image = packing.unpack, packing.base, self._frame.image
         cg, lb = g[b], image(unpack(b))  # Lambda(a, b) = a . lb
-        rest = [(j - base, _v_scan({j - base: c}, _no_vec), image(unpack(j)))
+        rest = [(j - base, _v_scan([(j - base, (), c)]), image(unpack(j)))
                 for j, c in g.items() if j != b]
 
         def step(rem: dict, rc: QLaurent, a: int, av) -> QLaurent:
@@ -599,7 +592,7 @@ class TorusElement(_FramedLaurent):
                 raise NotDivisibleError(
                     "leading coefficient not divisible in Z[q^(1/2), q^(-1/2)]"
                 ) from None
-            x = _v_scan({a: -c}, unpack)
+            x = _v_scan([(a, av, -c)])
             for j, y, ly in rest:
                 key = a + j
                 entry = rem.get(key)
@@ -608,7 +601,7 @@ class TorusElement(_FramedLaurent):
                 elif type(entry) is list:
                     entry.append((y, ly, x))
                 else:  # a coefficient of the dividend
-                    rem[key] = [(_v_scan({key: entry}, _no_vec), lb, _UNIT), (y, ly, x)]
+                    rem[key] = [(_v_scan([(key, (), entry)]), lb, _UNIT), (y, ly, x)]
             return c
 
         return step
@@ -689,10 +682,6 @@ class CommLaurent(_FramedLaurent):
     _MISMATCH = (ValueError, "mixed variable counts")
     _coeff_to_json = str
     _coeff_from_json = staticmethod(from_decimal)
-    _scalar = staticmethod(_int_scalar)
-    _mul_into = staticmethod(_int_mul_into)
-    _collect = staticmethod(_int_collect)
-    _division_step = staticmethod(_int_division_step)
 
     # Bound here for the benchmark tracer, as in TorusElement.
     __mul__ = _SparseLaurent.__mul__
@@ -712,11 +701,6 @@ class CommLaurent(_FramedLaurent):
     @classmethod
     def constant(cls, m: int, n: int) -> "CommLaurent":
         return cls(m, {(0,) * m: n})
-
-    def _operand(self, other):
-        if isinstance(other, int):
-            return CommLaurent.constant(self._frame, other)
-        return other if isinstance(other, CommLaurent) else None
 
     def __str__(self) -> str:
         terms = []

@@ -239,8 +239,16 @@ class RefLaurent:
             products = []
             for b, cb in right.items():
                 w = sum(bj * la[j] for j, bj in enumerate(b) if bj)
-                products.append((_vadd(a, b), ca.mul_shifted(cb, w)))
+                products.append((_vadd(a, b), self._coeff_product(ca, cb, w)))
             _add_into(acc, products)
+
+    @staticmethod
+    def _coeff_product(ca, cb, w: int):
+        """ca * cb * v^w for QLaurent ca and cb, by the schoolbook loop."""
+        acc: dict = {}
+        for e1, c1 in ca.items():
+            _add_into(acc, [(e1 + e2 + w, c1 * c2) for e2, c2 in cb.items()])
+        return QLaurent(acc)
 
     def one(self) -> dict:
         return {(0,) * self.m: 1 if self.lam is None else QLaurent.one()}

@@ -530,15 +530,22 @@ NON_INT_SITES = {
     "QLaurent **": lambda x: QLaurent({1: 1}) ** x,
     "CommLaurent **": lambda x: CommLaurent.generator(2, 0) ** x,
     "TorusElement **": lambda x: TorusElement.generator(L2, 0) ** x,
+    "QLaurent.shift": lambda x: QLaurent.one().shift(x),
+    "QLaurent.q_power": lambda x: QLaurent.q_power(x),
+    "CommLaurent.generator": lambda x: CommLaurent.generator(2, x),
+    "TorusElement.generator": lambda x: TorusElement.generator(L2, x),
 }
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.0], ids=repr)
 @pytest.mark.parametrize("where", sorted(NON_INT_SITES))
 def test_directions_and_powers_reject_bool_and_float(where, bad):
-    # True and 1.0 equal 1, so tuple.index and isinstance(n, int) let them through
+    # True and 1.0 equal 1, so tuple.index, isinstance(n, int) and list
+    # indexing let them through (1.0 fails inside the list), and 2 * True
+    # is an int
     NON_INT_SITES[where](1)
-    with pytest.raises(ValueError, match="is not exchangeable|nonnegative integer powers"):
+    match = "is not exchangeable|nonnegative integer powers|must be an integer|generator index"
+    with pytest.raises(ValueError, match=match):
         NON_INT_SITES[where](bad)
 
 JSON_SITES = {

@@ -443,6 +443,23 @@ def test_equal_elements_hash_equal():
     assert len({c, d, CommLaurent.one(3)}) == 2
 
 
+def test_int_constants_equal_and_hash_as_their_int():
+    for constant in (QLaurent.from_int, lambda n: CommLaurent.constant(2, n)):
+        for n in (-2, 0, 1, 5):
+            x = constant(n)
+            assert x == n and hash(x) == hash(n)
+            assert x in {n} and {n: 1}[x] == 1
+
+
+def test_bool_is_no_constant():
+    # True equals 1, but like a bool exponent or power it is refused
+    for x in (QLaurent.one(), CommLaurent.one(2), TorusElement.one(L2)):
+        assert (x == True) is False  # noqa: E712
+        with pytest.raises(TypeError):
+            x + True
+    assert (TorusElement.one(L2) == 1) is False
+
+
 COEFFICIENT_SITES = {
     "CommLaurent": lambda x: CommLaurent(1, {(0,): x}),
     "TorusElement": lambda x: TorusElement(L2, {(0, 0): x}),
@@ -611,8 +628,9 @@ def _wide_qlaurent(rng, bits, span):
 
 @pytest.mark.parametrize("bits, span", [(3, 130), (70, 5), (70, 120), (2000, 3), (300, 101)])
 def test_kronecker_product_matches_schoolbook_oracle(bits, span):
-    # RefLaurent multiplies coefficients with QLaurent.mul_shifted, the
-    # schoolbook loop, so it shares nothing with the substitution kernel
+    # RefLaurent multiplies coefficients with its own schoolbook loop
+    # (RefLaurent._coeff_product), so it shares nothing with the
+    # substitution kernel
     rng = random.Random(bits * 1009 + span)
     divisions = {True: TorusElement.exact_div_right, False: TorusElement.exact_div_left}
     for _ in range(6):
@@ -669,7 +687,8 @@ def test_kronecker_digit_at_the_bound():
             f = TorusElement.monomial(L2, (1, 0), cl)
             g = TorusElement.monomial(L2, (0, 1), cr * sign)
             unpack = f._packing().unpack
-            left, right = _v_scan(f._terms, unpack), _v_scan(g._terms, unpack)
+            left, right = (_v_scan([(key, unpack(key), c) for key, c in x._terms.items()])
+                           for x in (f, g))
             k = _v_width(left[1] * right[1] * min(left[2], right[2]))  # one term each
             assert k == width
             product = f * g
@@ -724,8 +743,11 @@ def test_kronecker_cost_follows_terms_not_v_span(monkeypatch):
     def terms(scan):
         return sum(1 if lo is not None else len(t) for _, _, lo, t in scan[0])
 
-    def mul_scanned(self, acc, left, right, packing):
-        limits.append((2 * _GAP + 1) * terms(left) * terms(right))
+    def coefficient_terms(term_map):
+        return sum(map(len, term_map.values()))
+
+    def mul_into(self, acc, left, right, packing):
+        limits.append((2 * _GAP + 1) * coefficient_terms(left) * coefficient_terms(right))
         original(self, acc, left, right, packing)
         limits.pop()
 
@@ -741,8 +763,8 @@ def test_kronecker_cost_follows_terms_not_v_span(monkeypatch):
         widest.append((x.bit_length() // k + 1) / limits[-1])
         return _v_digits(lo, x, k)
 
-    original, original_collect = TorusElement._mul_scanned, TorusElement._collect
-    monkeypatch.setattr(TorusElement, "_mul_scanned", mul_scanned)
+    original, original_collect = TorusElement._mul_into, TorusElement._collect
+    monkeypatch.setattr(TorusElement, "_mul_into", mul_into)
     monkeypatch.setattr(TorusElement, "_collect", staticmethod(collect))
     monkeypatch.setattr(qcluster.torus, "_v_digits", digits)
     big = 10**18
