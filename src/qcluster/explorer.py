@@ -8,9 +8,9 @@ form of their variables alone: well defined because variables are in
 initial-cluster coordinates, which never move, and total because a
 cluster's variables are pairwise distinct (a repeat raises ValueError).
 The canonical key is spliced from each variable's JSON bytes, serialized
-once per variable object and kept on it, and equals the bytes of
-dump_seed(canonical seed, full=True); explore builds that seed, with
-its matrices checked, only for a key it has not seen.
+once per distinct variable per exploration and kept on the object, and
+equals the bytes of dump_seed(canonical seed, full=True); explore builds
+that seed, with its matrices checked, only for a key it has not seen.
 Frozen indices keep their positions: frozen variables are shared by the
 whole mutation class, so permuting them would only manufacture spurious
 distinctions.
@@ -73,12 +73,28 @@ def _var_key(v) -> bytes:
         return key
 
 
-def _canonical(seed):
-    """(inv, head, pi, key) of the canonical form, which is not built here.
+def _intern(v, seen: dict) -> None:
+    """Give v the bytes of an equal variable in seen, else file v there.
 
-    Row i of the form is row inv[i] of seed and pi = inv^-1; head is the
-    form's record, dump_seed's entries but "vars", which sorts last, so the
-    key is head's bytes spliced with the variables' cached bytes (_var_key).
+    seen holds the distinct variables of one explore call under their term
+    count and largest packed key, which equal variables share: a lookup
+    hashes no variable and compares v only with its few candidates.
+    """
+    bucket = seen.setdefault((len(v), max(v._terms, default=0)), [])
+    for first in bucket:
+        if first == v:
+            v._bytes = _var_key(first)
+            return
+    bucket.append(v)
+
+
+def _canonical(seed):
+    """(inv, order, head, pi, key) of the canonical form, which is not built here.
+
+    Row i of the form is row inv[i] of seed, column j is column order[j],
+    and pi = inv^-1; head is the form's record, dump_seed's entries but
+    "vars", which sorts last, so the key is head's bytes spliced with the
+    variables' cached bytes (_var_key).
     """
     ex, m, n = seed.b.ex, seed.b.m, seed.b.n
     var_keys = [_var_key(v) for v in seed.vars]
@@ -91,15 +107,17 @@ def _canonical(seed):
         pi[ex[j]], inv[ex[t]] = ex[t], ex[j]
     head = seed._record(inv, order)
     vars_ = b",".join([var_keys[i] for i in inv])
-    return inv, head, tuple(pi), b'%s,"vars":[%s]}' % (_json_bytes(head)[:-1], vars_)
+    key = b'%s,"vars":[%s]}' % (_json_bytes(head)[:-1], vars_)
+    return inv, order, head, tuple(pi), key
 
 
-def _relabeled(seed, inv, head):
-    """The canonical seed of _canonical's inv and head, its matrices checked."""
+def _relabeled(seed, inv, order, head):
+    """The canonical seed of _canonical's inv, order and head, its matrices checked."""
     if inv == sorted(inv):
         return seed
-    b, new_vars = ExchangeMatrix(head["B"], seed.b.ex), tuple(seed.vars[i] for i in inv)
-    return seed._relabeled(b, new_vars, head)
+    d = seed.b.d
+    b = ExchangeMatrix._derived(head["B"], seed.b.ex, tuple(d[j] for j in order))
+    return seed._relabeled(b, tuple(seed.vars[i] for i in inv), head)
 
 
 def canonical_form(seed):
@@ -111,8 +129,8 @@ def canonical_form(seed):
     OUTPUT: (canonical seed, pi) where pi maps old row indices to new
     ones (identity on frozen indices).
     """
-    inv, head, pi, _ = _canonical(seed)
-    return _relabeled(seed, inv, head), pi
+    inv, order, head, pi, _ = _canonical(seed)
+    return _relabeled(seed, inv, order, head), pi
 
 
 def canonical_key(seed) -> bytes:
@@ -121,7 +139,7 @@ def canonical_key(seed) -> bytes:
     Spliced from each variable's cached bytes, it equals
     _json_bytes(dump_seed(canonical_form(seed)[0], full=True)).
     """
-    return _canonical(seed)[3]
+    return _canonical(seed)[4]
 
 
 class GraphStatus(Enum):
@@ -199,8 +217,11 @@ def explore(
     nodes, so nodes, depths, parents, edges and status are those of
     mutating every direction.
     """
-    inv, head, _, rkey = _canonical(root)
-    nodes: dict[bytes, ClassicalSeed | QuantumSeed] = {rkey: _relabeled(root, inv, head)}
+    inv, order, head, _, rkey = _canonical(root)
+    nodes: dict[bytes, ClassicalSeed | QuantumSeed] = {rkey: _relabeled(root, inv, order, head)}
+    interned: dict = {}
+    for v in root.vars:
+        _intern(v, interned)
     depths: dict[bytes, int] = {rkey: 0}
     parents: dict[bytes, tuple[bytes, int] | None] = {rkey: None}
     edges: set[tuple[bytes, int, bytes]] = set()
@@ -223,12 +244,13 @@ def explore(
                 except NotDivisibleError as exc:
                     exc.path = _trace_path(parents, key) + (k,)
                     raise
-                inv, head, pi, ckey = _canonical(child)
+                _intern(child.vars[k], interned)
+                inv, order, head, pi, ckey = _canonical(child)
                 if ckey not in nodes:
                     if max_seeds is not None and len(nodes) >= max_seeds:
                         status = GraphStatus.CAPPED_BY_SEEDS
                         break
-                    nodes[ckey] = _relabeled(child, inv, head)
+                    nodes[ckey] = _relabeled(child, inv, order, head)
                     depths[ckey] = depth + 1
                     parents[ckey] = (key, k)
                     queue.append(ckey)

@@ -281,6 +281,12 @@ class _SparseLaurent:
             return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
     def __mul__(self, other):
         if isinstance(other, type(self)):
             self._check_frame(other)
@@ -470,12 +476,6 @@ class QLaurent(_SparseLaurent):
         return self._terms.get(exp, 0)
 
     # -- ring operations ----------------------------------------------
-
-    def __rsub__(self, other) -> "QLaurent":
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def mul_shifted(self, other: "QLaurent", shift: int) -> "QLaurent":
         """self * other * v^shift."""

@@ -22,8 +22,11 @@ from .errors import IncompatibleError, NotSymmetrizableError
 from .torus import CommLaurent, SkewMatrix, TorusElement, _int_rows, _int_tuple
 
 
-def _check_symmetrizer(rows, d, what: str) -> None:
-    """Raise NotSymmetrizableError unless d_i b_ij = -d_j b_ji everywhere."""
+def _check_symmetrizer(rows, d, what: str = "no symmetrizer: check failed") -> None:
+    """Raise NotSymmetrizableError unless d_i b_ij = -d_j b_ji everywhere.
+
+    For d > 0 this forces the zero diagonal and the sign pattern too.
+    """
     n = len(rows)
     for i in range(n):
         for j in range(n):
@@ -83,7 +86,7 @@ def find_skew_symmetrizer(b) -> tuple[int, ...]:
                     raise NotSymmetrizableError(
                         f"inconsistent ratio around edge ({i}, {j})"
                     )
-    _check_symmetrizer(rows, d, "no symmetrizer: check failed")
+    _check_symmetrizer(rows, d)
     return tuple(d)
 
 
@@ -92,7 +95,8 @@ class ExchangeMatrix:
 
     Column j is the exchange data of direction ex[j]; the principal part
     (rows restricted to ex) must admit a positive skew-symmetrizer,
-    which is computed once at construction.
+    which is searched at construction and carried, checked, through
+    matrix_mutate and the explorer's relabeling.
     """
 
     __slots__ = ("_rows", "_ex", "_d")
@@ -116,6 +120,22 @@ class ExchangeMatrix:
         self._rows = tup
         self._ex = exs
         self._d = find_skew_symmetrizer(self)
+
+    @classmethod
+    def _derived(cls, rows, ex: tuple[int, ...], d: tuple[int, ...]) -> "ExchangeMatrix":
+        """The mutated or relabeled matrix of int rows over a checked ex; d is the parent's.
+
+        Neither step changes the components of the principal part's nonzero
+        pattern (b_ij, i, j != k, changes only when i and j both neighbour k,
+        and k keeps its neighbours), so each keeps gcd 1 and the carried d,
+        permuted with the columns, stays minimal: it is checked, not searched.
+        """
+        out = cls.__new__(cls)
+        out._rows = tuple(map(tuple, rows))
+        out._ex = ex
+        _check_symmetrizer(out.principal(), d)
+        out._d = d
+        return out
 
     @property
     def m(self) -> int:
@@ -187,7 +207,7 @@ def matrix_mutate(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
                 bkj = rows[k][j]
                 new_row.append(bij + (abs(bik) * bkj + bik * abs(bkj)) // 2)
         new_rows.append(new_row)
-    return ExchangeMatrix(new_rows, ex)
+    return ExchangeMatrix._derived(new_rows, ex, b.d)
 
 
 def check_compatibility(b: ExchangeMatrix, lam: SkewMatrix) -> tuple[int, ...]:

@@ -729,11 +729,14 @@ def test_canonical_seeds_built_only_for_new_nodes(monkeypatch):
     builds = []
     real = qcluster.explorer.ExchangeMatrix
 
-    def counting(*args):
-        builds.append(args)
-        return real(*args)
+    class Counting:
+        # the relabeled seed's matrix is the explorer's one build
+        @staticmethod
+        def _derived(*args):
+            builds.append(args)
+            return real._derived(*args)
 
-    monkeypatch.setattr(qcluster.explorer, "ExchangeMatrix", counting)
+    monkeypatch.setattr(qcluster.explorer, "ExchangeMatrix", Counting)
     g = explore(classical(a_rows(5)))
     assert g.node_count == 132
     # at most one relabeled seed per stored node, none for a key already seen
@@ -744,3 +747,59 @@ def test_canonical_seeds_built_only_for_new_nodes(monkeypatch):
         assert canon is node
         assert pi == tuple(range(node.m))
 
+
+
+def _count_serializations(monkeypatch, root, **kwargs):
+    """(graph, to_json calls, mutations, distinct variables) of one explore."""
+    import qcluster.explorer
+
+    serialized, mutations = [], []
+    for cls in (CommLaurent, TorusElement):
+        real_to_json = cls.__dict__["to_json"]
+
+        def counting(self, real_to_json=real_to_json):
+            serialized.append(self)
+            return real_to_json(self)
+
+        monkeypatch.setattr(cls, "to_json", counting)
+    real_mutate = qcluster.explorer.mutate
+
+    def counting_mutate(seed, k):
+        mutations.append(k)
+        return real_mutate(seed, k)
+
+    monkeypatch.setattr(qcluster.explorer, "mutate", counting_mutate)
+    g = explore(root, **kwargs)
+    monkeypatch.undo()
+    distinct = {v for node in g.nodes.values() for v in node.vars}
+    return g, len(serialized), len(mutations), len(distinct)
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: classical(a_rows(5)), (132, 20, 330, 20)),
+        (lambda: principal_seed(D4_ROWS), (50, 20, 100, 20)),
+    ],
+    ids=["A5", "quantum-D4"],
+)
+def test_explore_serializes_each_distinct_variable_once(monkeypatch, build, expected):
+    # a finite type keeps returning to its variables: a repeat takes the
+    # first equal variable's bytes instead of serializing again
+    g, serialized, mutations, distinct = _count_serializations(monkeypatch, build())
+    assert (g.node_count, serialized, mutations, distinct) == expected
+
+
+def test_kronecker_explore_serializes_one_variable_per_mutation(monkeypatch):
+    # an infinite type never repeats a variable: the root's 3, then one each
+    root = classical(KRONECKER + [[1, -1]], [0, 1])
+    g, serialized, mutations, distinct = _count_serializations(monkeypatch, root, max_depth=8)
+    assert g.node_count == 17
+    assert serialized == distinct == 3 + mutations == 19
+
+
+def test_interning_keeps_no_table_between_explorations(monkeypatch):
+    # a second exploration of an equal root serializes its variables afresh
+    explore(classical(a_rows(3)))
+    g, serialized, mutations, distinct = _count_serializations(monkeypatch, classical(a_rows(3)))
+    assert (g.node_count, serialized, mutations, distinct) == (14, 9, 21, 9)

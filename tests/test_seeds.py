@@ -15,6 +15,7 @@ from qcluster import (
     QuantumSeed,
     SkewMatrix,
     TorusElement,
+    canonical_form,
     check_compatibility,
     dump_seed,
     find_skew_symmetrizer,
@@ -132,19 +133,36 @@ def test_symmetrizer_random_generated():
         [[0, 1], [-3, 0]],
         [[0, 2], [-2, 0]],
         [[0, 1], [-4, 0]],
+        # two components with different scales, d = (2, 1, 3, 1)
+        [[0, 1, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 1], [0, 0, -3, 0]],
+        # B3 over two frozen rows
+        [[0, 1, 0], [-1, 0, 1], [0, -2, 0], [1, 0, -1], [0, 2, 1]],
     ],
-    ids=["A5", "D4", "F4", "G2", "kronecker", "kronecker-4"],
+    ids=["A5", "D4", "F4", "G2", "kronecker", "kronecker-4", "B2+G2", "B3-frozen"],
 )
 def test_symmetrizer_matches_oracle_along_mutation_walks(rows):
+    # mutation carries d and checks it; the oracle searches afresh
     rng = random.Random(11)
-    n = len(rows)
+    n = len(rows[0])
     for _ in range(10):
         # relabel, so the integer walk starts from different roots
         perm = rng.sample(range(n), n)
-        b = ExchangeMatrix([[rows[i][j] for j in perm] for i in perm])
+        b = ExchangeMatrix([[rows[i][j] for j in perm] for i in perm + list(range(n, len(rows)))])
         for _ in range(30):
             assert b.d == ref_skew_symmetrizer(b.principal())
             b = matrix_mutate(b, rng.randrange(n))
+
+
+def test_carried_symmetrizer_is_checked():
+    # a wrong d is refused by mutation and by the explorer's relabeling
+    b = ExchangeMatrix([[0, 1], [-2, 0], [1, 1]], ex=[0, 1])
+    assert b.d == (2, 1)
+    b._d = (1, 1)
+    with pytest.raises(NotSymmetrizableError, match="no symmetrizer: check failed"):
+        matrix_mutate(b, 0)
+    seed = ClassicalSeed.initial(b)  # x2 sorts before x1, so the form relabels
+    with pytest.raises(NotSymmetrizableError, match="no symmetrizer: check failed"):
+        canonical_form(seed)
 
 
 # -- exchange matrices --------------------------------------------------

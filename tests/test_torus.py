@@ -451,6 +451,16 @@ def test_int_constants_equal_and_hash_as_their_int():
             assert x in {n} and {n: 1}[x] == 1
 
 
+def test_int_minus_element_is_the_constant_minus_it():
+    p = CommLaurent.generator(2, 0)
+    assert 1 - p == CommLaurent.constant(2, 1) - p == -(p - 1)
+    assert 3 - QLaurent.v_power(1) == QLaurent({0: 3, 1: -1})
+    # the torus has no int constants, and a bool is no constant anywhere
+    for a, x in ((1, TorusElement.one(L2)), (True, p), (True, QLaurent.one())):
+        with pytest.raises(TypeError):
+            a - x
+
+
 def test_bool_is_no_constant():
     # True equals 1, but like a bool exponent or power it is refused
     for x in (QLaurent.one(), CommLaurent.one(2), TorusElement.one(L2)):
