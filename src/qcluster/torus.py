@@ -261,8 +261,8 @@ class _FramedLaurent(_SparseLaurent):
 # proportion to the terms, not to the span: a coefficient is cut into runs
 # whose consecutive exponents lie at most _GAP apart (_v_runs), and a sum
 # takes in a contribution only if the two lie at most _GAP digits apart
-# (_v_sum); one further away is summed apart, per lowest v-exponent, and
-# decoded on its own (_v_decode_apart).  Every int then spans at most
+# (_v_sum); one further away is decoded on its own, like any sum, and the
+# callers' _add_into adds the pieces of a key.  Every int then spans at most
 # 2 _GAP + 1 digits per product of two terms it holds, however far apart the
 # exponents lie (they grow with the entries of Lambda and of the symmetrizer).
 
@@ -365,14 +365,14 @@ def _v_sum(outer, k: int) -> list[tuple[int, QLaurent]]:
     key s + t at the v-exponent lo_s + lo_t + tv . ls (the twist).  The
     products of one key are summed as (lowest v-exponent, int), shifted
     into line when one starts lower; one further than _GAP digits (beyond
-    the bits of the int it would shift) is summed apart, per lowest
-    v-exponent, and decoded on its own (_v_decode_apart).  Each sum is
-    decoded once, so no int grows with the gaps between v-exponents, only
-    with its terms.
+    the bits of the int it would shift) is a piece of its own, decoded
+    like any sum.  A key may then come out in several pairs, which the
+    callers add with _add_into.  No int grows with the gaps between
+    v-exponents, only with its terms.
     """
     reach = _GAP * k
     sums: dict = {}  # key -> (lo, int)
-    far: dict = {}  # key -> {lo: int}, the contributions too far from sums[key]
+    far: list = []  # (key, (lo, int)), the contributions too far from sums[key]
     get = sums.get
     for s, lo_s, x, ls, inner in outer:
         for t, tv, lo_t, y in inner:
@@ -396,14 +396,10 @@ def _v_sum(outer, k: int) -> list[tuple[int, QLaurent]]:
                 if d <= reach or d <= reach + xy.bit_length():
                     sums[key] = (lo, (z << d) + xy)
                     continue
-            pieces = far.get(key)
-            if pieces is None:
-                far[key] = {lo: xy}
-            else:
-                pieces[lo] = pieces.get(lo, 0) + xy
+            far.append((key, (lo, xy)))
     out = _v_decode(sums.items(), k)
     if far:
-        out += _v_decode_apart(far, k)
+        out += _v_decode(far, k)
     return out
 
 
@@ -420,29 +416,6 @@ def _v_decode(sums, k: int) -> list[tuple[object, QLaurent]]:
                 out.append((key, raw(None, {lo: x})))
         else:
             out.append((key, raw(None, _v_digits(lo, x, k))))
-    return out
-
-
-def _v_decode_apart(far: dict, k: int) -> list[tuple[object, QLaurent]]:
-    """[(key, sum of x v^lo over the pieces lo: x)] for far = {key: {lo: x}}.
-
-    The pieces of one key may overlap once decoded, so their digits are
-    added up; a piece of one digit is its own digit.
-    """
-    raw, out = QLaurent._raw, []
-    half = 1 << (k - 1)
-    for key, pieces in far.items():
-        digits: dict = {}
-        get = digits.get
-        for lo, x in pieces.items():
-            if -half < x < half:
-                digits[lo] = get(lo, 0) + x
-            else:
-                for e, d in _v_digits(lo, x, k).items():
-                    digits[e] = get(e, 0) + d
-        digits = {e: d for e, d in digits.items() if d}
-        if digits:
-            out.append((key, raw(None, digits)))
     return out
 
 

@@ -549,11 +549,13 @@ def test_mutate_incomplete_report_exits_1(capsys, monkeypatch, a2_file):
     )
     fake = LaurentReport(rows=(bad_row,), completed=False, final=None)
     monkeypatch.setattr("qcluster.cli.laurent_report", lambda seed, seq: fake)
-    code, out, err = run(capsys, ["mutate", a2_file, "--at", "1"])
-    assert code == 1
-    payload = json.loads(err)
-    assert payload["error"] == "not_divisible"
-    assert payload["direction"] == 1
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, ["mutate", a2_file, "--at", "1", "--format", fmt])
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "not_divisible"
+        assert payload["direction"] == 1
+    assert out == "step 1: direction 1 FAILED: no Laurent expression\n"  # the text run
 
 
 # -- golden bytes ----------------------------------------------------------

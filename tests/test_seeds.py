@@ -188,6 +188,8 @@ def test_exchange_matrix_validation():
         ExchangeMatrix([[0, 1], [-1, 0]], ex=[0, 2])
     with pytest.raises(ValueError):
         ExchangeMatrix([[0, 1]], ex=[0, 1])
+    with pytest.raises(ValueError, match="ex must list 2 distinct indices"):
+        ExchangeMatrix([[0, 1], [-1, 0]], ex=[0, 0])
 
 
 def test_matrix_mutate_rank2_sign_flip():
@@ -223,6 +225,15 @@ def test_compatibility_examples():
     assert check_compatibility(ExchangeMatrix(A2_ROWS), L2) == (1, 1)
     b21 = ExchangeMatrix([[0], [1]], ex=[0])
     assert check_compatibility(b21, SkewMatrix([[0, -1], [1, 0]])) == (1,)
+
+
+def test_frame_size_must_match_the_matrix():
+    b = ExchangeMatrix(A2_ROWS)
+    lam = SkewMatrix([[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
+    with pytest.raises(ValueError, match="lambda is 3x3, expected 2x2"):
+        check_compatibility(b, lam)
+    with pytest.raises(ValueError, match="matrix sizes disagree: 2 vs 3"):
+        lambda_mutate(lam, b, 0)
 
 
 def test_compatibility_zero_lambda_fails():

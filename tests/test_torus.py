@@ -342,6 +342,22 @@ def test_comm_exact_div():
         x1.exact_div(QLaurent.one())
 
 
+def test_exact_div_by_an_int_constant():
+    # an int divisor (never a bool or a float) is the constant of the
+    # dividend's ring (a torus element has none: test_division_errors)
+    x1 = CommLaurent.generator(2, 0)
+    assert (6 * x1).exact_div(3) == 2 * x1
+    assert QLaurent({0: 4, 2: 6}).exact_div(2) == QLaurent({0: 2, 2: 3})
+    with pytest.raises(NotDivisibleError):
+        (6 * x1).exact_div(4)
+    with pytest.raises(ZeroDivisionError):
+        (6 * x1).exact_div(0)
+    for f in (6 * x1, QLaurent({0: 4, 2: 6})):
+        for bad in (True, 1.0):
+            with pytest.raises(TypeError, match=f"cannot divide {type(f).__name__} by"):
+                f.exact_div(bad)
+
+
 def test_comm_division_round_trip_random():
     rng = random.Random(43)
     for _ in range(200):
@@ -728,6 +744,27 @@ def test_kronecker_near_and_far_contributions(exps):
             product = left * right
             assert _terms(product) == ref.mul(_terms(left), _terms(right))
             assert all(coeff for _, coeff in product.items())
+
+
+def test_kronecker_far_contributions_that_cancel():
+    # f * g reaches X1 X2 four times: 3 and -3 at v^0, and 5 and -5 at
+    # v^100 (the twists +1 and -1 of L2 land both at 100), so both the sum
+    # shifted into line and the pieces too far from it cancel.  The
+    # product leaves X1 X2 out and stores no zero coefficient.
+    x1, x2 = gens(L2)
+    xy = TorusElement.monomial(L2, (1, 1))
+    f = TorusElement.one(L2) + x1 + x2 + xy
+    g = (xy.scalar_mul(3) + x2.scalar_mul(QLaurent({99: 5}))
+         - x1.scalar_mul(QLaurent({101: 5})) - TorusElement.one(L2).scalar_mul(3))
+    product = f * g
+    assert (1, 1) not in product.support()
+    assert all(coeff for _, coeff in product.items())
+    ref = RefLaurent(2, L2)
+    assert _terms(product) == ref.mul(_terms(f), _terms(g))
+    assert product.exact_div_right(g) == f
+    assert product.exact_div_left(f) == g
+    # in the other order the twists part the pieces at v^98 and v^102
+    assert _terms(g * f) == ref.mul(_terms(g), _terms(f))
 
 
 def test_v_runs_cut_at_wide_gaps():
