@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Sequence
 
-from .errors import ClusterError, IncompatibleError, NotDivisibleError
+from .errors import ClusterError
 from .explorer import _indented, explore, export_dot, export_json, laurent_report
 from .mutation import verify_quantum_seed
 from .seeds import (
@@ -254,23 +254,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotDivisibleError as exc:
-        extra = {}
-        if exc.direction is not None:
-            extra["direction"] = exc.direction + 1
-        if exc.path is not None:
-            extra["path"] = [k + 1 for k in exc.path]
-        _emit_error(exc.code, str(exc), **extra)
-        return 1
-    except IncompatibleError as exc:
-        extra = {}
-        if exc.position is not None:
-            i, j = exc.position
-            extra["position"] = [i + 1, j + 1]
-        _emit_error(exc.code, str(exc), **extra)
-        return 1
     except ClusterError as exc:
-        _emit_error(exc.code, str(exc))
+        extra = {}
+        for name in ("direction", "path", "position"):
+            value = getattr(exc, name)
+            if value is not None:
+                extra[name] = value + 1 if type(value) is int else [i + 1 for i in value]
+        _emit_error(exc.code, str(exc), **extra)
         return 1
     except OverflowError as exc:
         _emit_error("out_of_range", str(exc))

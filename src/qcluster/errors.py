@@ -5,9 +5,14 @@ Division by zero is reported with the builtin ZeroDivisionError.
 
 
 class ClusterError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    direction, path and position are 0-based context, None unless set;
+    the CLI writes each one that is set, 1-based, into its JSON error.
+    """
 
     code = "cluster_error"
+    direction = path = position = None
 
 
 class NotDivisibleError(ClusterError):

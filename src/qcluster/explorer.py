@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 
 from .errors import NotDivisibleError
 from .mutation import mutate
-from .seeds import ClassicalSeed, ExchangeMatrix, QuantumSeed, dump_seed
+from .seeds import ClassicalSeed, QuantumSeed, dump_seed
 
 
 def _json_bytes(data) -> bytes:
@@ -113,11 +113,7 @@ def _canonical(seed):
 
 def _relabeled(seed, inv, order, head):
     """The canonical seed of _canonical's inv, order and head, its matrices checked."""
-    if inv == sorted(inv):
-        return seed
-    d = seed.b.d
-    b = ExchangeMatrix._derived(head["B"], seed.b.ex, tuple(d[j] for j in order))
-    return seed._relabeled(b, tuple(seed.vars[i] for i in inv), head)
+    return seed if inv == sorted(inv) else seed._relabeled(inv, order, head)
 
 
 def canonical_form(seed):

@@ -209,8 +209,8 @@ class _SparseLaurent:
     stores a zero coefficient, so two elements are equal iff their
     frames and term maps are.
 
-    This kernel holds the arithmetic, exact division, equality and
-    hashing, and the integer coefficient ring that QLaurent and
+    This kernel holds the arithmetic, reflected too, exact division,
+    equality, hashing and the integer coefficient ring that QLaurent and
     CommLaurent share: an int, never a bool, is a constant of the ring
     (_operand) and hashes as that int.  The constructors and views over
     a frame of width m belong to _FramedLaurent (torus).  Subclasses
@@ -296,7 +296,8 @@ class _SparseLaurent:
             return NotImplemented
         return self._scaled(c)
 
-    # scalars are central, so left and right scalar action agree
+    # addition commutes and scalars are central, so each reflected form is the forward one
+    __radd__ = __add__
     __rmul__ = __mul__
 
     def _product(self, other):
@@ -412,7 +413,7 @@ class QLaurent(_SparseLaurent):
 
     # Bound here for the benchmark tracer (perfbench/tracing.py), which
     # wraps them in this class's own __dict__.
-    __add__ = __radd__ = _SparseLaurent.__add__
+    __add__ = _SparseLaurent.__add__
     exact_div = _SparseLaurent._exact_div
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
@@ -473,6 +474,8 @@ class QLaurent(_SparseLaurent):
         return self._terms == {0: 1}
 
     def coefficient(self, exp: int) -> int:
+        if type(exp) is not int:
+            raise ValueError(f"exponent must be an integer, got {exp!r}")
         return self._terms.get(exp, 0)
 
     # -- ring operations ----------------------------------------------

@@ -96,7 +96,7 @@ class ExchangeMatrix:
     Column j is the exchange data of direction ex[j]; the principal part
     (rows restricted to ex) must admit a positive skew-symmetrizer,
     which is searched at construction and carried, checked, through
-    matrix_mutate and the explorer's relabeling.
+    matrix_mutate and a seed's relabeling (_Seed._relabeled).
     """
 
     __slots__ = ("_rows", "_ex", "_d")
@@ -335,7 +335,7 @@ def _relabel(rows, inv, order) -> list[list[int]]:
 
 
 class _Seed:
-    """What the seed types share: m variables over b, their record and its rebuild."""
+    """What the seed types share: m variables over b, their record and its relabeling."""
 
     def __post_init__(self):
         if len(self.vars) != self.b.m:
@@ -364,8 +364,13 @@ class _Seed:
         out["B"] = _relabel(b.rows(), inv, order)
         return out
 
-    def _relabeled(self, b: ExchangeMatrix, new_vars: tuple, record: dict):
-        """The seed over b and new_vars whose _record(inv, order) is record."""
+    def _relabeled(self, inv, order, record: dict):
+        """The seed relabeled by _relabel(…, inv, order); record is its _record(inv, order)."""
+        b = ExchangeMatrix._derived(record["B"], self.b.ex, tuple(self.b.d[j] for j in order))
+        return self._rebuild(b, tuple(self.vars[i] for i in inv), record)
+
+    def _rebuild(self, b: ExchangeMatrix, new_vars: tuple, record: dict):
+        """The seed of this type over b and new_vars whose record is record."""
         return type(self)(b, new_vars)
 
 
@@ -419,7 +424,7 @@ class QuantumSeed(_Seed):
         out["d"] = [self.d[j] for j in order]
         return out
 
-    def _relabeled(self, b: ExchangeMatrix, new_vars: tuple, record: dict):
+    def _rebuild(self, b: ExchangeMatrix, new_vars: tuple, record: dict):
         return type(self)(SkewMatrix(record["Lambda"]), b, new_vars, tuple(record["d"]))
 
 

@@ -203,10 +203,10 @@ class _FramedLaurent(_SparseLaurent):
         return list(map(self._packing().unpack, sorted(self._terms)))
 
     def coefficient(self, exp: Sequence[int]):
-        """The coefficient of X^exp; zero for any exponent not in the support."""
+        """The coefficient of X^exp (m ints, else ValueError); zero off the support."""
         try:
             key = self._packing().pack(_int_tuple(exp, "exponent"))
-        except (ValueError, OverflowError):
+        except OverflowError:
             key = None
         return self._terms.get(key, self._scalar(0))
 
@@ -663,7 +663,6 @@ class CommLaurent(_FramedLaurent):
     __eq__ = _SparseLaurent.__eq__
     __hash__ = _SparseLaurent.__hash__
     to_json = _FramedLaurent.to_json
-    __radd__ = _SparseLaurent.__add__
     exact_div = _SparseLaurent._exact_div
 
     @staticmethod

@@ -3,7 +3,8 @@
 Deliberately different in method from the package internals: monomial
 products are computed by sorting an explicit word of generator letters,
 matrix transforms by naive triple loops, commutative Laurent values
-by Fraction substitution, and skew-symmetrizers by rational ratios.
+by Fraction substitution, skew-symmetrizers by rational ratios, and
+the Kronecker's cluster variables from binomial coefficients.
 Slow and simple on purpose.  The tuple-keyed Laurent kernel at the end
 is the package's own former product and division code, kept as the
 reference for the packed-integer kernel that replaced it.
@@ -12,7 +13,8 @@ reference for the packed-integer kernel that replaced it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from qcluster import ExchangeMatrix, NotDivisibleError, NotSymmetrizableError, QLaurent
@@ -166,6 +168,82 @@ def positive_roots(cartan) -> set[tuple[int, ...]]:
                 roots.add(image)
                 todo.append(image)
     return roots
+
+
+# -- closed forms of the rank-2 Kronecker variables ----------------------------
+#
+# x_{n+2} of B = [[0, 2], [-2, 0]] in the binomial form of Caldero and
+# Zelevinsky (Moscow Math. J. 6, 2006) and its quantum analog with
+# symmetric Gaussian binomials (Rupel, IMRN 2011), from math.comb and the
+# Gaussian recurrence alone: no qcluster product or division is used.
+
+
+def _choose(a: int, b: int) -> int:
+    """C(a, b) for b >= 0: 1 if b = 0 (for every a), 0 if a < 0 < b or b > a."""
+    return 1 if b == 0 else 0 if a < 0 or b > a else comb(a, b)
+
+
+@cache
+def _gaussian(a: int, b: int) -> tuple[int, ...]:
+    """G_t(a, b) as its coefficients in t, with _choose's conventions.
+
+    G(a, b) = G(a-1, b-1) + t^b G(a-1, b) for a >= b >= 1.
+    """
+    if b == 0:
+        return (1,)
+    if a < 0 or b > a:
+        return ()
+    lower, upper = _gaussian(a - 1, b - 1), _gaussian(a - 1, b)
+    out = [0] * max(len(lower), b + len(upper))
+    for i, c in enumerate(lower):
+        out[i] += c
+    for i, c in enumerate(upper):
+        out[b + i] += c
+    return tuple(out)
+
+
+def _bar_invariant_gaussian(a: int, b: int) -> dict[int, int]:
+    """[a, b] = t^(-b(a-b)/2) G_t(a, b) at t = v^4, as {v-exponent: coefficient}."""
+    return {4 * i - 2 * b * (a - b): c for i, c in enumerate(_gaussian(a, b)) if c}
+
+
+def _kronecker_terms(n: int, coefficient) -> dict:
+    """{(2q - n, 2r - n + 1): coefficient(n - 1 - r, q, n - q, r)}, zeros left out."""
+    out = {}
+    for q in range(n + 1):
+        for r in range(n + 1):
+            c = coefficient(n - 1 - r, q, n - q, r)
+            if c:
+                out[(2 * q - n, 2 * r - n + 1)] = c
+    return out
+
+
+def kronecker_variable(n: int) -> dict[tuple[int, int], int]:
+    """x_{n+2} for n >= 1 of the classical seed over [[0, 2], [-2, 0]].
+
+    x1^-n x2^-(n-1) sum_{q,r >= 0} C(n-1-r, q) C(n-q, r) x1^2q x2^2r, as
+    {exponent: coefficient}: mutating at 0, 1, 0, ... makes x3, x4, ...;
+    mutating at 1, 0, 1, ... makes the same with x1 and x2 swapped.
+    """
+    return _kronecker_terms(n, lambda a, q, b, r: _choose(a, q) * _choose(b, r))
+
+
+def quantum_kronecker_variable(n: int) -> dict[tuple[int, int], dict[int, int]]:
+    """The quantum x_{n+2}, n >= 1, of [[0, 2], [-2, 0]] with Lambda = [[0, 1], [-1, 0]].
+
+    The frame gives d = (2, 2).  Mutating at 0, 1, 0, ... makes x3, x4, ...,
+    whose coefficient at the normalized X^(2q-n, 2r-n+1) is
+    [n-1-r, q] [n-q, r] (_bar_invariant_gaussian), as {v-exponent: coefficient}.
+    """
+
+    def coefficient(a, q, b, r):
+        out: dict[int, int] = {}
+        for e, c in _bar_invariant_gaussian(a, q).items():
+            for f, d in _bar_invariant_gaussian(b, r).items():
+                out[e + f] = out.get(e + f, 0) + c * d
+        return {e: c for e, c in out.items() if c}
+
+    return _kronecker_terms(n, coefficient)
 
 
 # -- the tuple-keyed Laurent kernel -------------------------------------------

@@ -724,19 +724,15 @@ def test_raw_elements_serialize_like_constructed_ones(seed):
 
 
 def test_canonical_seeds_built_only_for_new_nodes(monkeypatch):
-    import qcluster.explorer
-
     builds = []
-    real = qcluster.explorer.ExchangeMatrix
+    real = ClassicalSeed._relabeled
 
-    class Counting:
-        # the relabeled seed's matrix is the explorer's one build
-        @staticmethod
-        def _derived(*args):
-            builds.append(args)
-            return real._derived(*args)
+    def counting(self, *args):
+        # the relabeled seed, its matrix checked, is the explorer's one build
+        builds.append(args)
+        return real(self, *args)
 
-    monkeypatch.setattr(qcluster.explorer, "ExchangeMatrix", Counting)
+    monkeypatch.setattr(ClassicalSeed, "_relabeled", counting)
     g = explore(classical(a_rows(5)))
     assert g.node_count == 132
     # at most one relabeled seed per stored node, none for a key already seen

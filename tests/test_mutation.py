@@ -30,7 +30,7 @@ from helpers import (
     random_principal_quantum_seed,
     random_skew,
 )
-from oracles import positive_roots
+from oracles import kronecker_variable, positive_roots, quantum_kronecker_variable
 
 L2 = SkewMatrix([[0, 1], [-1, 0]])
 
@@ -390,6 +390,41 @@ def test_denominators_are_almost_positive_roots(name, quantum):
     }
     negative_simple = {tuple(-int(i == j) for j in range(n)) for i in range(n)}
     assert d_vectors == roots | negative_simple
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_kronecker_chain_matches_the_closed_form(first):
+    # mutating at first, 1 - first, first, ... makes x3, x4, ... from the
+    # first direction; starting at 1 swaps the roles of x1 and x2
+    seed = ClassicalSeed.initial(ExchangeMatrix(KRONECKER))
+    for n in range(1, 17):
+        k = first if n % 2 else 1 - first
+        seed = mutate(seed, k)
+        want = kronecker_variable(n)
+        if first:
+            want = {(b, a): c for (a, b), c in want.items()}
+        assert dict(seed.vars[k].items()) == want
+
+
+def test_quantum_kronecker_chain_matches_the_closed_form():
+    seed = QuantumSeed.initial(ExchangeMatrix(KRONECKER), L2)
+    assert seed.d == (2, 2)
+    for n in range(1, 10):
+        k = 1 - n % 2
+        seed = mutate(seed, k)
+        got = {e: dict(c.items()) for e, c in seed.vars[k].items()}
+        assert got == quantum_kronecker_variable(n)
+
+
+def test_kronecker_exploration_meets_only_closed_form_variables():
+    graph = explore(ClassicalSeed.initial(ExchangeMatrix(KRONECKER)), max_depth=16)
+    assert graph.node_count == 33
+    formulas = [kronecker_variable(n) for n in range(1, 17)]
+    formulas += [{(b, a): c for (a, b), c in f.items()} for f in formulas]
+    formulas += [{(1, 0): 1}, {(0, 1): 1}]
+    variables = {v for seed in graph.nodes.values() for v in seed.vars}
+    assert len(variables) == 34
+    assert all(dict(v.items()) in formulas for v in variables)
 
 
 def test_mutate_dispatch():

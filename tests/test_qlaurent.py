@@ -128,6 +128,14 @@ def test_hash_consistent_with_eq():
     assert len({f, g}) == 1
 
 
+def test_repr_round_trip_and_zero_has_no_exponents():
+    for f in (QLaurent({1: 3, -2: -1}), QLaurent()):
+        assert eval(repr(f)) == f
+    for extreme in (QLaurent().min_exp, QLaurent().max_exp):
+        with pytest.raises(ValueError, match="no exponents"):
+            extreme()
+
+
 def test_public_surface_speaks_int_exponents():
     # the frame-taking members of the torus rings are not QLaurent's
     for name in ("monomial", "generator", "m", "support", "min_exponents"):

@@ -192,6 +192,22 @@ def test_exchange_matrix_validation():
         ExchangeMatrix([[0, 1], [-1, 0]], ex=[0, 0])
 
 
+def test_exchange_matrix_equality_hash_and_repr():
+    rows = [[0, 1], [2, -3], [-1, 0]]
+    b = ExchangeMatrix(rows, ex=[0, 2])
+    same = ExchangeMatrix(tuple(map(tuple, rows)), ex=(0, 2))
+    assert b == same and hash(b) == hash(same)
+    assert b != ExchangeMatrix([[0, 1], [-1, 0], [2, -3]])
+    assert b.__eq__(rows) is NotImplemented and b != rows
+    assert eval(repr(b)) == b
+    seed, twin = ClassicalSeed.initial(b), ClassicalSeed.initial(same)
+    assert seed == twin and hash(seed) == hash(twin)
+    with pytest.raises(ValueError, match="at least one row"):
+        ExchangeMatrix([])
+    lam = SkewMatrix([[0, 1, -2], [-1, 0, 3], [2, -3, 0]])
+    assert eval(repr(lam)) == lam
+
+
 def test_matrix_mutate_rank2_sign_flip():
     b = ExchangeMatrix(A2_ROWS)
     assert matrix_mutate(b, 0).rows() == ((0, -1), (1, 0))
@@ -552,6 +568,19 @@ def test_python_constructors_reject_non_integers(where, bad):
         CONSTRUCTORS[where](bad)
 
 
+@pytest.mark.parametrize("bad", [1.7, True, "1"], ids=repr)
+@pytest.mark.parametrize("ring", ["CommLaurent", "TorusElement"])
+def test_coefficient_reads_exponents_as_the_constructors_do(ring, bad):
+    # a non-int entry or a wrong length is an error, not an exponent off
+    # the support; only one beyond the packed range reads as zero
+    x = CommLaurent.generator(2, 0) if ring == "CommLaurent" else TorusElement.generator(L2, 0)
+    assert x.coefficient((1, 0)) == 1 and x.coefficient((0, 1)) == 0
+    with pytest.raises(ValueError, match="must hold integers"):
+        x.coefficient((bad, 0))
+    for wrong in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="has length"):
+            x.coefficient(wrong)
+
 
 NON_INT_SITES = {
     "classical mutate": lambda x: mutate(ClassicalSeed.initial(ExchangeMatrix(A2_ROWS)), x),
@@ -561,6 +590,7 @@ NON_INT_SITES = {
     "TorusElement **": lambda x: TorusElement.generator(L2, 0) ** x,
     "QLaurent.shift": lambda x: QLaurent.one().shift(x),
     "QLaurent.q_power": lambda x: QLaurent.q_power(x),
+    "QLaurent.coefficient": lambda x: QLaurent({1: 3}).coefficient(x),
     "CommLaurent.generator": lambda x: CommLaurent.generator(2, x),
     "TorusElement.generator": lambda x: TorusElement.generator(L2, x),
 }

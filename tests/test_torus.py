@@ -477,6 +477,24 @@ def test_int_minus_element_is_the_constant_minus_it():
             a - x
 
 
+def test_reflected_operators_and_the_empty_ring():
+    # the kernel binds +, - and * reflected; an int is a constant of the
+    # integer rings only, and no ring takes a str
+    p = CommLaurent.generator(2, 0)
+    assert 2 + p == p + 2 == CommLaurent(2, {(0, 0): 2, (1, 0): 1})
+    assert 2 + QLaurent.v_power(1) == QLaurent({0: 2, 1: 1})
+    for x in (p, TorusElement.one(L2), QLaurent.one()):
+        for op in (lambda: x - "a", lambda: "a" - x, lambda: "a" + x):
+            with pytest.raises(TypeError):
+                op()
+    with pytest.raises(TypeError):
+        1 + TorusElement.one(L2)
+    with pytest.raises(ValueError, match="at least one variable"):
+        CommLaurent.zero(0)
+    with pytest.raises(ValueError, match="has no support"):
+        CommLaurent.zero(2).min_exponents()
+
+
 def test_bool_is_no_constant():
     # True equals 1, but like a bool exponent or power it is refused
     for x in (QLaurent.one(), CommLaurent.one(2), TorusElement.one(L2)):
@@ -729,8 +747,9 @@ def test_kronecker_near_and_far_contributions(exps):
     # f * g reaches X1 X2 three times: 1 * (c0 X1 X2), X1 * (c1 X2) and
     # X2 * (c2 X1), at the v-exponents e0, e1, e2 (c1 and c2 absorb the
     # twists +1 and -1 of L2).  A contribution within _GAP digits of the
-    # sum is shifted into it, from above or below; a further one is summed
-    # apart, and opposite signs at one exponent cancel.
+    # sum is shifted into it, from above or below; a further one is decoded
+    # as a piece of its own, which _add_into adds to the rest, and opposite
+    # signs at one exponent cancel.
     x1, x2 = gens(L2)
     f = TorusElement.one(L2) + x1 + x2
     ref = RefLaurent(2, L2)
