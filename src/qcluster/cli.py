@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Sequence
 
-from .errors import ClusterError
+from .errors import ClusterError, NotDivisibleError
 from .explorer import _indented, explore, export_dot, export_json, laurent_report
 from .mutation import verify_quantum_seed
 from .seeds import (
@@ -141,14 +141,8 @@ def _cmd_mutate(args) -> int:
             lines.append(_seed_text(report.final, full=args.full))
         print("\n".join(lines))
     if not report.completed:
-        failing = report.rows[-1]
-        _emit_error(
-            "not_divisible",
-            failing.error or "division failed",
-            step=failing.step,
-            direction=failing.index + 1,
-        )
-        return 1
+        row = report.rows[-1]
+        raise NotDivisibleError(row.error, direction=row.index, step=row.step - 1)
     return 0
 
 
@@ -256,7 +250,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except ClusterError as exc:
         extra = {}
-        for name in ("direction", "path", "position"):
+        for name in ("direction", "path", "position", "step"):
             value = getattr(exc, name)
             if value is not None:
                 extra[name] = value + 1 if type(value) is int else [i + 1 for i in value]

@@ -7,29 +7,30 @@ Division by zero is reported with the builtin ZeroDivisionError.
 class ClusterError(Exception):
     """Base class for all domain errors raised by this package.
 
-    direction, path and position are 0-based context, None unless set;
-    the CLI writes each one that is set, 1-based, into its JSON error.
+    direction, path, position and step are 0-based context, None unless
+    set; the CLI writes each one that is set, 1-based, into its JSON error.
     """
 
     code = "cluster_error"
-    direction = path = position = None
+    direction = path = position = step = None
 
 
 class NotDivisibleError(ClusterError):
     """Exact division has no solution in the ring.
 
     During a seed mutation this would refute the Laurent phenomenon, so
-    the error carries enough context (seed, mutation direction, path) to
+    the error carries enough context (seed, direction, path or step) to
     reproduce the failure.  It is never swallowed by the library.
     """
 
     code = "not_divisible"
 
-    def __init__(self, message, seed=None, direction=None, path=None):
+    def __init__(self, message, seed=None, direction=None, path=None, step=None):
         super().__init__(message)
         self.seed = seed
         self.direction = direction
         self.path = path
+        self.step = step
 
 
 class IncompatibleError(ClusterError):

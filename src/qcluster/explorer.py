@@ -7,10 +7,11 @@ The canonical form sorts the exchangeable indices by the serialized
 form of their variables alone: well defined because variables are in
 initial-cluster coordinates, which never move, and total because a
 cluster's variables are pairwise distinct (a repeat raises ValueError).
-The canonical key is spliced from each variable's JSON bytes, serialized
-once per distinct variable per exploration and kept on the object, and
-equals the bytes of dump_seed(canonical seed, full=True); explore builds
-that seed, with its matrices checked, only for a key it has not seen.
+The canonical key is spliced from each variable's JSON bytes, kept on the
+object, and equals the bytes of dump_seed(canonical seed, full=True);
+explore builds that seed, with its matrices checked, only for a key it has
+not seen.  A variable met before is proved by the re-multiplication check,
+not divided, and its first object returned, so it is serialized once.
 Frozen indices keep their positions: frozen variables are shared by the
 whole mutation class, so permuting them would only manufacture spurious
 distinctions.
@@ -32,7 +33,7 @@ from json.encoder import encode_basestring_ascii as _encode
 from typing import Mapping, Sequence
 
 from .errors import NotDivisibleError
-from .mutation import mutate
+from .mutation import _file, mutate
 from .seeds import ClassicalSeed, QuantumSeed, dump_seed
 
 
@@ -71,21 +72,6 @@ def _var_key(v) -> bytes:
     except AttributeError:
         v._bytes = key = _json_bytes(v.to_json())
         return key
-
-
-def _intern(v, seen: dict) -> None:
-    """Give v the bytes of an equal variable in seen, else file v there.
-
-    seen holds the distinct variables of one explore call under their term
-    count and largest packed key, which equal variables share: a lookup
-    hashes no variable and compares v only with its few candidates.
-    """
-    bucket = seen.setdefault((len(v), max(v._terms, default=0)), [])
-    for first in bucket:
-        if first == v:
-            v._bytes = _var_key(first)
-            return
-    bucket.append(v)
 
 
 def _canonical(seed):
@@ -198,7 +184,8 @@ def explore(
     of None mean unlimited.  With the default max_depth=32, a max_seeds
     larger than the number of seeds within depth 32 never binds; on a
     rank-2 infinite class that number is 2*32+1 = 65.  NotDivisibleError
-    from a mutation is re-raised with its path from the root set.
+    from a mutation is re-raised with its path from the root set.  A
+    mutation divides only for a variable this call has not met.
 
     Each edge is mutated once.  When expanding X in direction k yields Y
     with relabeling pi, the reverse edge (Y, pi[k], X) is recorded then
@@ -215,9 +202,7 @@ def explore(
     """
     inv, order, head, _, rkey = _canonical(root)
     nodes: dict[bytes, ClassicalSeed | QuantumSeed] = {rkey: _relabeled(root, inv, order, head)}
-    interned: dict = {}
-    for v in root.vars:
-        _intern(v, interned)
+    known = _file({}, root.vars)
     depths: dict[bytes, int] = {rkey: 0}
     parents: dict[bytes, tuple[bytes, int] | None] = {rkey: None}
     edges: set[tuple[bytes, int, bytes]] = set()
@@ -236,11 +221,10 @@ def explore(
             ckey = reverse.pop((key, k), None)
             if ckey is None:
                 try:
-                    child = mutate(seed, k)
+                    child = mutate(seed, k, _known=known)
                 except NotDivisibleError as exc:
                     exc.path = _trace_path(parents, key) + (k,)
                     raise
-                _intern(child.vars[k], interned)
                 inv, order, head, pi, ckey = _canonical(child)
                 if ckey not in nodes:
                     if max_seeds is not None and len(nodes) >= max_seeds:
@@ -349,7 +333,8 @@ def laurent_report(
 
     An empty sequence reports on the initial generators.  A division
     failure becomes a failing row and stops the walk; it is recorded,
-    not raised.
+    not raised.  Like explore, it divides only for a variable this call
+    has not met.
     """
     seed = root
     rows: list[LaurentRow] = []
@@ -357,9 +342,10 @@ def laurent_report(
         for i in range(seed.m):
             rows.append(_membership_row(0, i, None, seed.vars[i]))
         return LaurentReport(tuple(rows), True, seed)
+    known = _file({}, root.vars)
     for step, k in enumerate(sequence, start=1):
         try:
-            seed = mutate(seed, k)
+            seed = mutate(seed, k, _known=known)
         except NotDivisibleError as exc:
             rows.append(
                 LaurentRow(step, k, k, False, None, None, None, str(exc))

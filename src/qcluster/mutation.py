@@ -1,10 +1,10 @@
 """Seed mutation: the classical and quantum exchange relations.
 
-Both mutations replace exactly one cluster variable.  The new variable
-is obtained by exact division of a two-term sum by the old variable,
-inside the initial-coordinate (quantum) torus; a division failure would
-contradict the Laurent property and is therefore surfaced with the seed
-and direction attached, never absorbed.
+Both mutations replace exactly one cluster variable by the exact
+quotient of a two-term sum by it, in the initial-coordinate (quantum)
+torus: a variable met before that passes the re-multiplication check,
+else the division's.  A division failure would contradict the Laurent
+property and is surfaced with the seed and direction attached.
 
 The quantum relation needs care with q-powers.  Writing the two
 exchange exponents as g - e_k with g >= 0, the current-frame monomial
@@ -19,9 +19,9 @@ so (new variable) * vars[k] equals
 where N_(+/-) is the ordered product vars[1]^{g_1} ... vars[m]^{g_m}
 times the normalization prefactor v^{sum_{i>j} lam'_ij g_i g_j}, and
 lam' is the CURRENT frame (the exponents g are current-frame data even
-though the products are evaluated in the initial torus).  After the
-division the product is re-checked exactly; any bookkeeping error in
-the q-powers dies here instead of propagating.
+though the products are evaluated in the initial torus).  Every new
+variable is re-checked exactly against N; any bookkeeping error in the
+q-powers dies here instead of propagating.
 """
 
 from __future__ import annotations
@@ -48,39 +48,59 @@ def _ordered_product(vars, g):
     return reduce(mul, [v ** gi for v, gi in zip(vars, g) if gi] or [vars[0] ** 0])
 
 
-def _exchange(seed, k: int, divide, ring: str, kind: str) -> tuple:
+def _ends(v) -> tuple[int, ...]:
+    """v's largest and smallest packed keys, () for zero: where a table of variables files v."""
+    t = v._terms
+    return (max(t), min(t)) if t else ()
+
+
+def _file(known: dict, vars) -> dict:
+    """known with vars filed under their end keys, the first met first."""
+    for v in vars:
+        known.setdefault(_ends(v), []).append(v)
+    return known
+
+
+def _exchange(seed, k: int, divide, ring: str, kind: str, known: dict | None) -> tuple:
     """seed.vars with vars[k] replaced by N / vars[k], N = divide.__self__.
 
-    divide is N's bound exact division.  The quotient is re-multiplied and
-    compared with N; a failed division names the ring it left.
+    divide is N's bound exact division, known a table of variables (_file)
+    or None.  Keys add (key(a + b) = ka + kb - base) in a monomial order of
+    a domain, so the quotient's end keys are N's less vars[k]'s plus base,
+    and a variable filed there whose product with vars[k] is N is it.  Else
+    N is divided, a failure naming the ring it left, and the quotient filed.
     """
-    old = seed.vars[k]
-    num = divide.__self__
-    try:
-        new_var = divide(old)
-    except NotDivisibleError as exc:
-        raise NotDivisibleError(
-            f"mutation at direction {k} left the {ring}: {exc}",
-            seed=seed,
-            direction=k,
-        ) from None
-    if new_var * old != num:
+    old, num = seed.vars[k], divide.__self__
+    known = {} if known is None else known
+    ends = tuple(n - o + num._packing().base for n, o in zip(_ends(num), _ends(old)))
+
+    def quotients():
+        if old:  # h * 0 == N says nothing of h: by zero, the division raises
+            yield from known.get(ends, ())
+        try:
+            new_var = divide(old)
+        except NotDivisibleError as exc:
+            raise NotDivisibleError(
+                f"mutation at direction {k} left the {ring}: {exc}", seed=seed, direction=k
+            ) from None
+        _file(known, [new_var])  # a failed check raises, ending the call that owns known
+        yield new_var
         raise ClusterError(f"re-multiplication check failed after {kind} division")
-    new_vars = list(seed.vars)
-    new_vars[k] = new_var
-    return tuple(new_vars)
+
+    new_var = next(h for h in quotients() if h * old == num)  # a failing one is skipped
+    return (*seed.vars[:k], new_var, *seed.vars[k + 1 :])
 
 
-def classical_mutate(seed: ClassicalSeed, k: int) -> ClassicalSeed:
+def classical_mutate(seed: ClassicalSeed, k: int, _known: dict | None = None) -> ClassicalSeed:
     """Mutate a classical seed in direction k (a row index in ex)."""
     b = seed.b
     g_pos, g_neg = _exchange_exponents(b, k)
     num = _ordered_product(seed.vars, g_pos) + _ordered_product(seed.vars, g_neg)
-    new_vars = _exchange(seed, k, num.exact_div, "Laurent ring", "classical")
+    new_vars = _exchange(seed, k, num.exact_div, "Laurent ring", "classical", _known)
     return ClassicalSeed(matrix_mutate(b, k), new_vars)
 
 
-def quantum_mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
+def quantum_mutate(seed: QuantumSeed, k: int, _known: dict | None = None) -> QuantumSeed:
     """Mutate a quantum seed in direction k (a row index in ex)."""
     b = seed.b
     lam = seed.lam
@@ -90,15 +110,15 @@ def quantum_mutate(seed: QuantumSeed, k: int) -> QuantumSeed:
         shift = reorder_weight(lam, g) - lam.image(g)[k]
         term = _ordered_product(seed.vars, g).scalar_mul(QLaurent.v_power(shift))
         num = term if num is None else num + term
-    new_vars = _exchange(seed, k, num.exact_div_right, "quantum torus", "quantum")
+    new_vars = _exchange(seed, k, num.exact_div_right, "quantum torus", "quantum", _known)
     return QuantumSeed(lambda_mutate(lam, b, k), matrix_mutate(b, k), new_vars, seed.d)
 
 
-def mutate(seed: ClassicalSeed | QuantumSeed, k: int):
-    """Dispatch to the classical or quantum exchange relation."""
+def mutate(seed: ClassicalSeed | QuantumSeed, k: int, _known: dict | None = None):
+    """Dispatch to the classical or quantum exchange relation (_known: see _exchange)."""
     if isinstance(seed, QuantumSeed):
-        return quantum_mutate(seed, k)
-    return classical_mutate(seed, k)
+        return quantum_mutate(seed, k, _known)
+    return classical_mutate(seed, k, _known)
 
 
 @dataclass(frozen=True)

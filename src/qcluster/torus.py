@@ -140,9 +140,8 @@ class _FramedLaurent(_SparseLaurent):
     Holds the normalizing constructor and the tuple-exponent
     constructors, views and JSON; subclasses add the frame's width
     (_width, which picks the _Packing), _NAME and the JSON coefficient
-    codecs.  explorer._var_key caches the compact JSON bytes in _bytes, or
-    explorer._intern copies them from an equal variable (the one write
-    after construction; ==, hash and str ignore it).
+    codecs.  explorer._var_key caches the compact JSON bytes in _bytes
+    (the one write after construction; ==, hash and str ignore it).
     """
 
     __slots__ = ("_bytes",)

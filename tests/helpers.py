@@ -1,4 +1,4 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and counters for the test suite.
 
 All randomness flows through an explicit random.Random instance so
 every test run sees the same cases.
@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 
 from qcluster import (
+    CommLaurent,
     ExchangeMatrix,
     QLaurent,
     QuantumSeed,
@@ -121,3 +122,21 @@ def random_principal_quantum_seed(
 
 A2_ROWS = [[0, 1], [-1, 0]]
 A3_ROWS = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
+
+
+def count_divisions(monkeypatch) -> list:
+    """The divisors of every exchange-step division from here on.
+
+    Wraps CommLaurent.exact_div and TorusElement.exact_div_right, the two
+    divisions the exchange step calls; monkeypatch undoes it.
+    """
+    divisors: list = []
+    for cls, attr in ((CommLaurent, "exact_div"), (TorusElement, "exact_div_right")):
+        divide = cls.__dict__[attr]
+
+        def counting(self, g, divide=divide):
+            divisors.append(g)
+            return divide(self, g)
+
+        monkeypatch.setattr(cls, attr, counting)
+    return divisors

@@ -555,6 +555,11 @@ def test_mutate_incomplete_report_exits_1(capsys, monkeypatch, a2_file):
         payload = json.loads(err)
         assert payload["error"] == "not_divisible"
         assert payload["direction"] == 1
+        # main's one ClusterError handler writes the 1-based step and direction
+        assert err == (
+            '{"direction": 1, "error": "not_divisible", '
+            '"message": "no Laurent expression", "step": 1}\n'
+        )
     assert out == "step 1: direction 1 FAILED: no Laurent expression\n"  # the text run
 
 

@@ -29,7 +29,7 @@ from qcluster import (
     verify_quantum_seed,
 )
 
-from helpers import A2_ROWS, A3_ROWS
+from helpers import A2_ROWS, A3_ROWS, count_divisions
 
 KRONECKER = [[0, 2], [-2, 0]]
 
@@ -578,9 +578,9 @@ def mutate_calls(monkeypatch):
 
     calls = []
 
-    def counting(seed, k):
+    def counting(seed, k, **kwargs):
         calls.append(k)
-        return mutate(seed, k)
+        return mutate(seed, k, **kwargs)
 
     monkeypatch.setattr(qcluster.explorer, "mutate", counting)
     return calls
@@ -760,9 +760,9 @@ def _count_serializations(monkeypatch, root, **kwargs):
         monkeypatch.setattr(cls, "to_json", counting)
     real_mutate = qcluster.explorer.mutate
 
-    def counting_mutate(seed, k):
+    def counting_mutate(seed, k, **kwargs):
         mutations.append(k)
-        return real_mutate(seed, k)
+        return real_mutate(seed, k, **kwargs)
 
     monkeypatch.setattr(qcluster.explorer, "mutate", counting_mutate)
     g = explore(root, **kwargs)
@@ -794,8 +794,37 @@ def test_kronecker_explore_serializes_one_variable_per_mutation(monkeypatch):
     assert serialized == distinct == 3 + mutations == 19
 
 
-def test_interning_keeps_no_table_between_explorations(monkeypatch):
+@pytest.mark.parametrize(
+    "build, kwargs, expected",
+    [
+        (lambda: classical(a_rows(5)), {}, (15, 330)),
+        (lambda: principal_seed(D4_ROWS), {}, (12, 100)),
+        (lambda: classical(KRONECKER + [[1, -1]], [0, 1]), {"max_depth": 8}, (16, 16)),
+    ],
+    ids=["A5", "quantum-D4", "kronecker-depth-8"],
+)
+def test_explore_divides_only_for_variables_it_has_not_met(
+    monkeypatch, mutate_calls, build, kwargs, expected
+):
+    # a finite type meets each of its variables again and again: the check
+    # proves a known one, so the divisions are the variables beyond the root's
+    root = build()
+    divisions = count_divisions(monkeypatch)
+    g = explore(root, **kwargs)
+    assert (len(divisions), len(mutate_calls)) == expected
+    met = {v for node in g.nodes.values() for v in node.vars}
+    assert len(divisions) == len(met - set(root.vars))
+
+
+def test_explore_and_laurent_report_keep_no_table_between_calls(monkeypatch):
     # a second exploration of an equal root serializes its variables afresh
     explore(classical(a_rows(3)))
     g, serialized, mutations, distinct = _count_serializations(monkeypatch, classical(a_rows(3)))
     assert (g.node_count, serialized, mutations, distinct) == (14, 9, 21, 9)
+    # a second report divides afresh: each walk goes out and back twice, and
+    # only the way out divides
+    divisors = count_divisions(monkeypatch)
+    for _ in range(2):
+        divisors.clear()
+        assert laurent_report(classical(a_rows(3)), [0, 0, 1, 1]).ok
+        assert len(divisors) == 2

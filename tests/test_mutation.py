@@ -26,11 +26,13 @@ from qcluster import (
 from helpers import (
     A2_ROWS,
     A3_ROWS,
+    count_divisions,
     random_exchange_matrix,
     random_principal_quantum_seed,
     random_skew,
 )
 from oracles import kronecker_variable, positive_roots, quantum_kronecker_variable
+from qcluster.mutation import _ends, _file
 
 L2 = SkewMatrix([[0, 1], [-1, 0]])
 
@@ -115,7 +117,7 @@ def test_classical_not_divisible_surfaces():
 
 
 def test_seeds_built_with_a_list_of_variables_mutate():
-    # the exchange step copies vars into a list, whatever sequence it was
+    # the exchange step builds a tuple from vars, whatever sequence it was
     b = ExchangeMatrix(A2_ROWS)
     c = a2_classical()
     assert classical_mutate(ClassicalSeed(b, list(c.vars)), 0) == classical_mutate(c, 0)
@@ -241,6 +243,57 @@ def test_remultiplication_check_fires(monkeypatch, seed, cls, attr, kind):
     with pytest.raises(ClusterError) as info:
         mutate(seed(), 0)
     assert str(info.value) == f"re-multiplication check failed after {kind} division"
+
+
+# -- a known variable is proved by the check, a new one divided ----------
+
+
+def _planted(seed, quotient):
+    """A variable with the quotient's end keys and a wrong middle."""
+    if isinstance(seed, QuantumSeed):  # one more term strictly between the ends
+        return quotient + TorusElement.monomial(seed.lam, (-2, 2))
+    return CommLaurent(2, {(-1, 1): 1, (-1, 0): 2})  # (x2 + 2) / x1 for (x2 + 1) / x1
+
+
+@pytest.mark.parametrize("seed", [a2_classical, a2_quantum], ids=["classical", "quantum"])
+def test_planted_candidate_fails_the_check_and_the_quotient_is_used(monkeypatch, seed):
+    plain = mutate(seed(), 0)
+    quotient = plain.vars[0]
+    planted = _planted(seed(), quotient)
+    ends = _ends(quotient)
+    assert _ends(planted) == ends and planted != quotient and len(ends) == 2
+    divisors = count_divisions(monkeypatch)
+    known = _file({}, [planted])
+    got = mutate(seed(), 0, _known=known)
+    # the planted candidate is skipped, not raised; the division's quotient
+    # is used and filed after it
+    assert got == plain and len(divisors) == 1
+    assert known[ends][0] is planted and known[ends][1] is got.vars[0]
+    # a second mutation meets the quotient: it passes the check, no division
+    again = mutate(seed(), 0, _known=known)
+    assert again == plain and again.vars[0] is got.vars[0] and len(divisors) == 1
+
+
+def test_zero_divisor_raises_even_when_every_candidate_would_pass():
+    # with vars (0, -1) the A2 exchange at 0 is (-1 + 1) / 0: h * 0 == 0 for
+    # every h, so no candidate is tried and the division raises
+    zero, one = CommLaurent.zero(2), CommLaurent.constant(2, 1)
+    seed = ClassicalSeed(ExchangeMatrix(A2_ROWS), (zero, -one))
+    known = _file({}, [zero, one, -one])
+    with pytest.raises(ZeroDivisionError):
+        mutate(seed, 0, _known=known)
+    with pytest.raises(ZeroDivisionError):
+        explore(seed)
+
+
+def test_a_zero_quotient_is_found_by_the_check_or_the_division():
+    # with vars (x1, -1) the exchange at 0 is (-1 + 1) / x1 = 0
+    x1 = CommLaurent.generator(2, 0)
+    seed = ClassicalSeed(ExchangeMatrix(A2_ROWS), (x1, -CommLaurent.constant(2, 1)))
+    known = _file({}, seed.vars)
+    assert mutate(seed, 0, _known=known).vars[0] == 0
+    assert known[()] == [0]
+    assert mutate(seed, 0, _known=known).vars[0] is known[()][0]
 
 
 # -- positivity: every coefficient of every cluster variable is >= 0 -----
