@@ -185,13 +185,14 @@ def explore(
     larger than the number of seeds within depth 32 never binds; on a
     rank-2 infinite class that number is 2*32+1 = 65.  NotDivisibleError
     from a mutation is re-raised with its path from the root set.  A
-    mutation divides only for a variable this call has not met.
+    mutation divides only for a variable this call has not met, and builds
+    its numerator only for an exchange this call has not proved.
 
     Each edge is mutated once.  When expanding X in direction k yields Y
     with relabeling pi, the reverse edge (Y, pi[k], X) is recorded then
     and taken as is when Y is expanded; no mutation, canonicalization or
     key is computed for it.  This adds no unchecked seed: every stored
-    seed still comes from a mutation that passed its re-multiplication
+    seed still comes from an exchange that passed its re-multiplication
     check, and the reused edge only joins two such seeds.  Classically
     the reverse exchange relation is the identity the forward check
     verified (negating column k swaps the two monomials, the other
@@ -199,6 +200,10 @@ def explore(
     theorem that mutation is an involution.  Reused edges never create
     nodes, so nodes, depths, parents, edges and status are those of
     mutating every direction.
+
+    Likewise a proved exchange met again on the same variable objects,
+    exponents and v-shifts, so the same numerator, reuses the check made
+    exactly on those immutable objects (see the mutation module).
     """
     inv, order, head, _, rkey = _canonical(root)
     nodes: dict[bytes, ClassicalSeed | QuantumSeed] = {rkey: _relabeled(root, inv, order, head)}

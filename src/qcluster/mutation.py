@@ -22,6 +22,12 @@ lam' is the CURRENT frame (the exponents g are current-frame data even
 though the products are evaluated in the initial torus).  Every new
 variable is re-checked exactly against N; any bookkeeping error in the
 q-powers dies here instead of propagating.
+
+An exchange met again on the very same variable objects, exponents and
+v-shifts takes the quotient proved for it: N is fixed by them, variables
+are immutable (and held by the table, so no id is reused), and
+h * vars[k] == N already passed exactly on those objects.  Like the
+explorer's reverse edges, this reuses a checked identity.
 """
 
 from __future__ import annotations
@@ -36,8 +42,9 @@ from .seeds import (
     ClassicalSeed,
     QuantumSeed,
     _exchange_exponents,
+    _frame_mutate,
     check_compatibility,
-    lambda_mutate,
+    lambda_mutate,  # unused here; perfbench/tracing.py wraps it under this name
     matrix_mutate,
 )
 from .torus import reorder_weight
@@ -61,57 +68,69 @@ def _file(known: dict, vars) -> dict:
     return known
 
 
-def _exchange(seed, k: int, divide, ring: str, kind: str, known: dict | None) -> tuple:
-    """seed.vars with vars[k] replaced by N / vars[k], N = divide.__self__.
+def _exchange(seed, k: int, monomials, numerator, ring: str, kind: str, known: dict | None) -> tuple:
+    """seed.vars with vars[k] replaced by N / vars[k].
 
-    divide is N's bound exact division, known a table of variables (_file)
-    or None.  Keys add (key(a + b) = ka + kb - base) in a monomial order of
-    a domain, so the quotient's end keys are N's less vars[k]'s plus base,
-    and a variable filed there whose product with vars[k] is N is it.  Else
-    N is divided, a failure naming the ring it left, and the quotient filed.
+    monomials are N's terms as (g, v-shift) pairs, numerator() builds N and
+    returns its bound exact division, known is a table of variables (_file)
+    and proved exchanges (keyed by id; an entry holds the objects) or None.
+    A proved exchange is taken as it is.  Else keys add (key(a + b) = ka +
+    kb - base) in a monomial order of a domain, so the quotient's end keys
+    are N's less vars[k]'s plus base, and a variable filed there whose
+    product with vars[k] is N is it.  Else N is divided, a failure naming
+    the ring it left, and the quotient filed.  Either, once checked, is
+    filed as the exchange's proof.
     """
-    old, num = seed.vars[k], divide.__self__
+    old = seed.vars[k]
     known = {} if known is None else known
-    ends = tuple(n - o + num._packing().base for n, o in zip(_ends(num), _ends(old)))
+    key = (id(old), *((s, *((id(v), e) for v, e in zip(seed.vars, g) if e)) for g, s in monomials))
+    if key not in known:
+        divide = numerator()
+        num = divide.__self__
+        ends = tuple(n - o + num._packing().base for n, o in zip(_ends(num), _ends(old)))
 
-    def quotients():
-        if old:  # h * 0 == N says nothing of h: by zero, the division raises
-            yield from known.get(ends, ())
-        try:
-            new_var = divide(old)
-        except NotDivisibleError as exc:
-            raise NotDivisibleError(
-                f"mutation at direction {k} left the {ring}: {exc}", seed=seed, direction=k
-            ) from None
-        _file(known, [new_var])  # a failed check raises, ending the call that owns known
-        yield new_var
-        raise ClusterError(f"re-multiplication check failed after {kind} division")
+        def quotients():
+            if old:  # h * 0 == N says nothing of h: by zero, the division raises
+                yield from known.get(ends, ())
+            try:
+                new_var = divide(old)
+            except NotDivisibleError as exc:
+                raise NotDivisibleError(
+                    f"mutation at direction {k} left the {ring}: {exc}", seed=seed, direction=k
+                ) from None
+            _file(known, [new_var])  # a failed check raises, ending the call that owns known
+            yield new_var
+            raise ClusterError(f"re-multiplication check failed after {kind} division")
 
-    new_var = next(h for h in quotients() if h * old == num)  # a failing one is skipped
-    return (*seed.vars[:k], new_var, *seed.vars[k + 1 :])
+        new_var = next(h for h in quotients() if h * old == num)  # a failing one is skipped
+        known[key] = (new_var, seed.vars)  # proved: new_var * old == N
+    return (*seed.vars[:k], known[key][0], *seed.vars[k + 1 :])
 
 
 def classical_mutate(seed: ClassicalSeed, k: int, _known: dict | None = None) -> ClassicalSeed:
     """Mutate a classical seed in direction k (a row index in ex)."""
     b = seed.b
     g_pos, g_neg = _exchange_exponents(b, k)
-    num = _ordered_product(seed.vars, g_pos) + _ordered_product(seed.vars, g_neg)
-    new_vars = _exchange(seed, k, num.exact_div, "Laurent ring", "classical", _known)
+
+    def numerator():  # built only for an exchange not proved before
+        return (_ordered_product(seed.vars, g_pos) + _ordered_product(seed.vars, g_neg)).exact_div
+    monomials = ((g_pos, 0), (g_neg, 0))
+    new_vars = _exchange(seed, k, monomials, numerator, "Laurent ring", "classical", _known)
     return ClassicalSeed(matrix_mutate(b, k), new_vars)
 
 
 def quantum_mutate(seed: QuantumSeed, k: int, _known: dict | None = None) -> QuantumSeed:
     """Mutate a quantum seed in direction k (a row index in ex)."""
-    b = seed.b
-    lam = seed.lam
-    num = None
-    for g in _exchange_exponents(b, k):
-        # Lambda(g, e_k) = -e_k . Lambda g
-        shift = reorder_weight(lam, g) - lam.image(g)[k]
-        term = _ordered_product(seed.vars, g).scalar_mul(QLaurent.v_power(shift))
-        num = term if num is None else num + term
-    new_vars = _exchange(seed, k, num.exact_div_right, "quantum torus", "quantum", _known)
-    return QuantumSeed(lambda_mutate(lam, b, k), matrix_mutate(b, k), new_vars, seed.d)
+    b, lam = seed.b, seed.lam
+    gs = _exchange_exponents(b, k)
+    # Lambda(g, e_k) = -e_k . Lambda g
+    monomials = [(g, reorder_weight(lam, g) - lam.image(g)[k]) for g in gs]
+
+    def numerator():
+        terms = [_ordered_product(seed.vars, g).scalar_mul(QLaurent.v_power(s)) for g, s in monomials]
+        return (terms[0] + terms[1]).exact_div_right
+    new_vars = _exchange(seed, k, monomials, numerator, "quantum torus", "quantum", _known)
+    return QuantumSeed(_frame_mutate(lam, k, gs[0]), matrix_mutate(b, k), new_vars, seed.d)
 
 
 def mutate(seed: ClassicalSeed | QuantumSeed, k: int, _known: dict | None = None):

@@ -191,23 +191,24 @@ def matrix_mutate(b: ExchangeMatrix, k: int) -> ExchangeMatrix:
 
     Entries with i = k or column direction k flip sign; the rest gain
     (|b_ik| b_kj + b_ik |b_kj|) / 2, which is integral because the two
-    summands share the sign of b_ik b_kj.
+    summands share the sign of b_ik b_kj.  So a row with b_ik = 0 is the
+    parent's row object, and elsewhere only entries with b_kj != 0 change.
     """
     p = b.position(k)
     rows = b.rows()
-    ex = b.ex
+    bk = [(j, bkj) for j, bkj in enumerate(rows[k]) if bkj]
     new_rows = []
     for i, row in enumerate(rows):
-        bik = rows[i][p]
-        new_row = []
-        for j, bij in enumerate(row):
-            if i == k or ex[j] == k:
-                new_row.append(-bij)
-            else:
-                bkj = rows[k][j]
-                new_row.append(bij + (abs(bik) * bkj + bik * abs(bkj)) // 2)
-        new_rows.append(new_row)
-    return ExchangeMatrix._derived(new_rows, ex, b.d)
+        bik = row[p]
+        if i == k:
+            row = [-x for x in row]
+        elif bik:
+            row = list(row)
+            row[p] = -bik
+            for j, bkj in bk:
+                row[j] += (abs(bik) * bkj + bik * abs(bkj)) // 2
+        new_rows.append(row)
+    return ExchangeMatrix._derived(new_rows, b.ex, b.d)
 
 
 def check_compatibility(b: ExchangeMatrix, lam: SkewMatrix) -> tuple[int, ...]:
@@ -262,16 +263,20 @@ def lambda_mutate(lam: SkewMatrix, b: ExchangeMatrix, k: int) -> SkewMatrix:
     negative part gives the same frame whenever (lam, b) is a compatible
     pair; the tests assert that rather than assume it.
     """
-    c = _exchange_exponents(b, k)[0]
-    m = lam.m
-    if b.m != m:
-        raise ValueError(f"matrix sizes disagree: {b.m} vs {m}")
-    c[k] -= 1
+    g = _exchange_exponents(b, k)[0]
+    if b.m != lam.m:
+        raise ValueError(f"matrix sizes disagree: {b.m} vs {lam.m}")
+    return _frame_mutate(lam, k, g)
+
+
+def _frame_mutate(lam: SkewMatrix, k: int, g) -> SkewMatrix:
+    """lambda_mutate by g, column k's positive part (kept): x, -x at (i, k), (k, i) stay skew."""
+    c = [e - (i == k) for i, e in enumerate(g)]
     rows = [list(row) for row in lam.rows()]
     for i, x in enumerate(lam.image(c)):
         if i != k:
             rows[i][k], rows[k][i] = x, -x
-    return SkewMatrix(rows)
+    return SkewMatrix._derived(rows)
 
 
 def principal_lambda(
@@ -425,7 +430,8 @@ class QuantumSeed(_Seed):
         return out
 
     def _rebuild(self, b: ExchangeMatrix, new_vars: tuple, record: dict):
-        return type(self)(SkewMatrix(record["Lambda"]), b, new_vars, tuple(record["d"]))
+        # record["Lambda"] is _relabel(lam, inv, inv), permuted alike: still skew
+        return type(self)(SkewMatrix._derived(record["Lambda"]), b, new_vars, tuple(record["d"]))
 
 
 def principal_seed(

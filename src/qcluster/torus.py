@@ -74,6 +74,13 @@ class SkewMatrix:
                     )
         self._rows = tup
 
+    @classmethod
+    def _derived(cls, rows) -> "SkewMatrix":
+        """The frame of int rows that the caller's construction keeps skew; not re-validated."""
+        out = cls.__new__(cls)
+        out._rows = tuple(map(tuple, rows))
+        return out
+
     @property
     def m(self) -> int:
         return len(self._rows)

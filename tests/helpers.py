@@ -140,3 +140,42 @@ def count_divisions(monkeypatch) -> list:
 
         monkeypatch.setattr(cls, attr, counting)
     return divisors
+
+
+def captured_tables(monkeypatch) -> list:
+    """Every table of met variables and proved exchanges that explore and
+    laurent_report start from here on, in call order; monkeypatch undoes it."""
+    import qcluster.explorer
+
+    tables: list = []
+    file = qcluster.explorer._file
+
+    def capturing(known, vars):
+        tables.append(known)
+        return file(known, vars)
+
+    monkeypatch.setattr(qcluster.explorer, "_file", capturing)
+    return tables
+
+
+def proved(table: dict) -> list:
+    """The proved exchanges filed in a table: (quotient, the objects keyed) pairs."""
+    return [entry for entry in table.values() if type(entry) is tuple]
+
+
+def count_numerators(monkeypatch) -> list:
+    """The variables of every exchange numerator built from here on, one entry per numerator.
+
+    Each numerator is the sum of two ordered products (mutation._ordered_product).
+    """
+    import qcluster.mutation
+
+    products: list = []
+    product = qcluster.mutation._ordered_product
+
+    def counting(vars, g):
+        products.append(vars)
+        return product(vars, g)
+
+    monkeypatch.setattr(qcluster.mutation, "_ordered_product", counting)
+    return products

@@ -29,7 +29,14 @@ from qcluster import (
     verify_quantum_seed,
 )
 
-from helpers import A2_ROWS, A3_ROWS, count_divisions
+from helpers import (
+    A2_ROWS,
+    A3_ROWS,
+    captured_tables,
+    count_divisions,
+    count_numerators,
+    proved,
+)
 
 KRONECKER = [[0, 2], [-2, 0]]
 
@@ -816,6 +823,26 @@ def test_explore_divides_only_for_variables_it_has_not_met(
     assert len(divisions) == len(met - set(root.vars))
 
 
+@pytest.mark.parametrize(
+    "build, kwargs, expected",
+    [
+        (lambda: classical(a_rows(5)), {}, (70, 330)),
+        (lambda: principal_seed(D4_ROWS), {}, (54, 100)),
+        (lambda: classical(KRONECKER + [[1, -1]], [0, 1]), {"max_depth": 8}, (16, 16)),
+    ],
+    ids=["A5", "quantum-D4", "kronecker-depth-8"],
+)
+def test_explore_proves_each_exchange_once(monkeypatch, mutate_calls, build, kwargs, expected):
+    # a finite type meets one exchange (the same variable objects, exponents
+    # and v-shifts, so the same numerator) on many edges: its numerator is
+    # built and checked once; an infinite type never meets one twice
+    tables = captured_tables(monkeypatch)
+    numerators = count_numerators(monkeypatch)
+    explore(build(), **kwargs)
+    assert (len(proved(tables[0])), len(mutate_calls)) == expected
+    assert len(numerators) == 2 * expected[0]
+
+
 def test_explore_and_laurent_report_keep_no_table_between_calls(monkeypatch):
     # a second exploration of an equal root serializes its variables afresh
     explore(classical(a_rows(3)))
@@ -828,3 +855,24 @@ def test_explore_and_laurent_report_keep_no_table_between_calls(monkeypatch):
         divisors.clear()
         assert laurent_report(classical(a_rows(3)), [0, 0, 1, 1]).ok
         assert len(divisors) == 2
+    # a second call proves afresh, even from the very same root objects: a
+    # walk out and back twice proves four exchanges
+    tables = captured_tables(monkeypatch)
+    numerators = count_numerators(monkeypatch)
+    root = classical(a_rows(3))
+    for _ in range(2):
+        explore(root)
+        laurent_report(root, [0, 0, 1, 1])
+    assert [len(proved(t)) for t in tables] == [len(proved(tables[0])), 4] * 2
+    assert len(numerators) == 2 * sum(len(proved(t)) for t in tables)
+
+
+@pytest.mark.parametrize("rows, nodes", [(D4_ROWS, 50), (F4_ROWS, 105)], ids=["D4", "F4"])
+def test_derived_frames_are_skew_and_every_node_verifies(rows, nodes):
+    # mutated and relabeled frames skip SkewMatrix's validation; the public
+    # constructor re-checks every one, and the axioms are re-derived
+    g = explore(principal_seed(rows))
+    assert g.node_count == nodes
+    for node in g.nodes.values():
+        assert node.lam == SkewMatrix(node.lam.rows())
+        assert verify_quantum_seed(node).ok

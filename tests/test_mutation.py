@@ -27,6 +27,8 @@ from helpers import (
     A2_ROWS,
     A3_ROWS,
     count_divisions,
+    count_numerators,
+    proved,
     random_exchange_matrix,
     random_principal_quantum_seed,
     random_skew,
@@ -237,12 +239,15 @@ def test_quantum_not_divisible_carries_its_context():
     ids=["classical", "quantum"],
 )
 def test_remultiplication_check_fires(monkeypatch, seed, cls, attr, kind):
-    # a division that returns the true quotient plus one must not pass
+    # a division that returns the true quotient plus one must not pass, and
+    # the exchange is not filed as proved
     divide = getattr(cls, attr)
     monkeypatch.setattr(cls, attr, lambda self, g: divide(self, g) + cls.one(self._frame))
+    known = {}
     with pytest.raises(ClusterError) as info:
-        mutate(seed(), 0)
+        mutate(seed(), 0, _known=known)
     assert str(info.value) == f"re-multiplication check failed after {kind} division"
+    assert proved(known) == []
 
 
 # -- a known variable is proved by the check, a new one divided ----------
@@ -294,6 +299,52 @@ def test_a_zero_quotient_is_found_by_the_check_or_the_division():
     assert mutate(seed, 0, _known=known).vars[0] == 0
     assert known[()] == [0]
     assert mutate(seed, 0, _known=known).vars[0] is known[()][0]
+
+
+# -- an exchange is proved once per table, on the very same objects ------
+
+
+@pytest.mark.parametrize("seed", [a2_classical, a2_quantum], ids=["classical", "quantum"])
+def test_a_proved_exchange_is_taken_without_its_numerator(monkeypatch, seed):
+    root = seed()
+    numerators = count_numerators(monkeypatch)
+    known = _file({}, root.vars)
+    got = mutate(root, 0, _known=known)
+    assert proved(known) == [(got.vars[0], root.vars)] and len(numerators) == 2
+    # the same objects again: no numerator, no division, the same quotient
+    divisors = count_divisions(monkeypatch)
+    again = mutate(root, 0, _known=known)
+    assert again == got and again.vars[0] is got.vars[0]
+    assert len(numerators) == 2 and divisors == [] and len(proved(known)) == 1
+
+
+@pytest.mark.parametrize("seed", [a2_classical, a2_quantum], ids=["classical", "quantum"])
+def test_equal_but_distinct_variables_never_share_a_proof(monkeypatch, seed):
+    first, second = seed(), seed()
+    assert first == second and all(a is not b for a, b in zip(first.vars, second.vars))
+    numerators = count_numerators(monkeypatch)
+    known = _file({}, first.vars)
+    got = mutate(first, 0, _known=known)
+    # equal objects build and check their own numerator (the check proves the
+    # quotient met first, so nothing is divided) and file their own proof
+    divisors = count_divisions(monkeypatch)
+    other = mutate(second, 0, _known=known)
+    assert other.vars[0] is got.vars[0] and divisors == []
+    assert len(numerators) == 4 and len(proved(known)) == 2
+
+
+def test_an_exchange_that_raises_files_no_proof():
+    x1, x2 = (CommLaurent.generator(2, i) for i in range(2))
+    # the A2 exchange at 0 is (1 + x2) / vars[0]: by 2 x1 it leaves the
+    # Laurent ring, by 0 it divides by zero
+    cases = [((2 * x1, x2), NotDivisibleError), ((CommLaurent.zero(2), x2), ZeroDivisionError)]
+    for vars, error in cases:
+        seed = ClassicalSeed(ExchangeMatrix(A2_ROWS), vars)
+        known = _file({}, vars)
+        for _ in range(2):  # a failed exchange raises again: nothing was filed
+            with pytest.raises(error):
+                mutate(seed, 0, _known=known)
+        assert proved(known) == []
 
 
 # -- positivity: every coefficient of every cluster variable is >= 0 -----

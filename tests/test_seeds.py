@@ -37,6 +37,7 @@ from helpers import (
     random_skew_symmetrizable,
 )
 from oracles import ref_skew_symmetrizer, ref_transform
+from qcluster.seeds import _exchange_exponents, _frame_mutate
 
 L2 = SkewMatrix([[0, 1], [-1, 0]])
 
@@ -232,6 +233,53 @@ def test_matrix_mutate_involutive_random():
         b = random_exchange_matrix(rng, m, n)
         for k in b.ex:
             assert matrix_mutate(matrix_mutate(b, k), k) == b
+
+
+def _dense_mutation(rows, ex, k):
+    """b'_ij = -b_ij if i = k or ex[j] = k, else b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2."""
+    p = ex.index(k)
+    return [
+        [
+            -rows[i][j]
+            if i == k or j == p
+            else rows[i][j] + (abs(rows[i][p]) * rows[k][j] + rows[i][p] * abs(rows[k][j])) // 2
+            for j in range(len(ex))
+        ]
+        for i in range(len(rows))
+    ]
+
+
+def test_matrix_mutate_matches_the_dense_formula():
+    # tall matrices with frozen rows; a row with b_ik = 0 is the parent's object
+    rng = random.Random(24)
+    kept = frozen_kept = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        b = random_exchange_matrix(rng, rng.randint(n, n + 3), n)
+        for k in b.ex:
+            got = matrix_mutate(b, k)
+            assert [list(r) for r in got.rows()] == _dense_mutation(b.rows(), b.ex, k)
+            assert got.ex == b.ex and got.d == b.d == find_skew_symmetrizer(got)
+            p = b.position(k)
+            for i, (row, new) in enumerate(zip(b.rows(), got.rows())):
+                if i != k and row[p] == 0:
+                    assert new is row
+                    kept += 1
+                    frozen_kept += i not in b.ex
+    assert kept > 100 and frozen_kept > 50
+
+
+def test_frame_update_keeps_its_exponents():
+    # quantum mutation hands _exchange_exponents' positive part, which also
+    # keys its proof, to the frame update; the update copies it
+    rng = random.Random(5)
+    for _ in range(20):
+        seed = random_principal_quantum_seed(rng, rng.randint(1, 4))
+        for k in seed.ex:
+            g = _exchange_exponents(seed.b, k)[0]
+            before = list(g)
+            assert _frame_mutate(seed.lam, k, g) == lambda_mutate(seed.lam, seed.b, k)
+            assert g == before
 
 
 # -- compatibility ------------------------------------------------------
