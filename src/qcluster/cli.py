@@ -198,48 +198,41 @@ def _cmd_principal(args) -> int:
     return 0
 
 
+_SEED, _JSON_TEXT = "seed JSON file", ["json", "text"]
+_FULL = {"action": "store_true", "help": "include variables in output"}
+_UNLIMITED = {"type": int, "help": "negative = unlimited"}
+
+# (verb, handler, help, input help, the verb's own options, --format choices)
+_VERBS = (
+    ("check", _cmd_check, "validate a seed file and print its symmetrizer", _SEED, {}, _JSON_TEXT),
+    ("mutate", _cmd_mutate, "apply a mutation sequence", _SEED, {
+        "--at": {"required": True, "help": "comma-separated 1-based directions"}, "--full": _FULL,
+    }, _JSON_TEXT),
+    ("explore", _cmd_explore, "breadth-first exchange-graph closure", _SEED, {
+        "--max-seeds": dict(_UNLIMITED, default=10000), "--max-depth": dict(_UNLIMITED, default=32),
+        "--full": {"action": "store_true", "help": "embed variables in JSON nodes"},
+    }, ["json", "dot", "text"]),
+    ("specialize", _cmd_specialize, "print the q=1 classical shadow", "quantum seed JSON file",
+     {"--full": _FULL}, _JSON_TEXT),
+    ("principal-lambda", _cmd_principal, "build the principal-coefficient frame from B",
+     "JSON file with B and optional Lambda0, D",
+     {"--full-seed": {"action": "store_true", "help": "also emit a loadable 2n-seed"}}, _JSON_TEXT),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcluster",
         description="Exact engine for classical and quantum cluster algebra seeds.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("check", help="validate a seed file and print its symmetrizer")
-    p.add_argument("input", help="seed JSON file")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("mutate", help="apply a mutation sequence")
-    p.add_argument("input", help="seed JSON file")
-    p.add_argument("--at", required=True, help="comma-separated 1-based directions")
-    p.add_argument("--full", action="store_true", help="include variables in output")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=_cmd_mutate)
-
-    p = sub.add_parser("explore", help="breadth-first exchange-graph closure")
-    p.add_argument("input", help="seed JSON file")
-    p.add_argument("--max-seeds", type=int, default=10000, help="negative = unlimited")
-    p.add_argument("--max-depth", type=int, default=32, help="negative = unlimited")
-    p.add_argument("--full", action="store_true", help="embed variables in JSON nodes")
-    p.add_argument("--format", choices=["json", "dot", "text"], default="json")
-    p.set_defaults(func=_cmd_explore)
-
-    p = sub.add_parser("specialize", help="print the q=1 classical shadow")
-    p.add_argument("input", help="quantum seed JSON file")
-    p.add_argument("--full", action="store_true", help="include variables in output")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=_cmd_specialize)
-
-    p = sub.add_parser(
-        "principal-lambda", help="build the principal-coefficient frame from B"
-    )
-    p.add_argument("input", help="JSON file with B and optional Lambda0, D")
-    p.add_argument(
-        "--full-seed", action="store_true", help="also emit a loadable 2n-seed"
-    )
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=_cmd_principal)
+    for verb, func, help_, input_help, options, formats in _VERBS:
+        p = sub.add_parser(verb, help=help_)
+        p.add_argument("input", help=input_help)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--format", choices=formats, default="json")
+        p.set_defaults(func=func)
     return parser
 
 

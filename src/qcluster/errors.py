@@ -7,12 +7,18 @@ Division by zero is reported with the builtin ZeroDivisionError.
 class ClusterError(Exception):
     """Base class for all domain errors raised by this package.
 
-    direction, path, position and step are 0-based context, None unless
-    set; the CLI writes each one that is set, 1-based, into its JSON error.
+    Every subclass takes the same keyword-only context: the seed, and
+    direction, path, position and step, 0-based; each is None unless set.
+    The CLI writes each of the last four that is set, 1-based, into its
+    JSON error.
     """
 
     code = "cluster_error"
-    direction = path = position = step = None
+
+    def __init__(self, message, *, seed=None, direction=None, path=None, position=None, step=None):
+        super().__init__(message)
+        self.seed, self.direction, self.path = seed, direction, path
+        self.position, self.step = position, step
 
 
 class NotDivisibleError(ClusterError):
@@ -25,13 +31,6 @@ class NotDivisibleError(ClusterError):
 
     code = "not_divisible"
 
-    def __init__(self, message, seed=None, direction=None, path=None, step=None):
-        super().__init__(message)
-        self.seed = seed
-        self.direction = direction
-        self.path = path
-        self.step = step
-
 
 class IncompatibleError(ClusterError):
     """The pair (Lambda, B) fails the compatibility condition.
@@ -41,10 +40,6 @@ class IncompatibleError(ClusterError):
     """
 
     code = "incompatible"
-
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
 
 
 class NotSymmetrizableError(ClusterError):

@@ -97,11 +97,6 @@ def _canonical(seed):
     return inv, order, head, tuple(pi), key
 
 
-def _relabeled(seed, inv, order, head):
-    """The canonical seed of _canonical's inv, order and head, its matrices checked."""
-    return seed if inv == sorted(inv) else seed._relabeled(inv, order, head)
-
-
 def canonical_form(seed):
     """Canonical representative of a seed's relabeling class.
 
@@ -112,7 +107,7 @@ def canonical_form(seed):
     ones (identity on frozen indices).
     """
     inv, order, head, pi, _ = _canonical(seed)
-    return _relabeled(seed, inv, order, head), pi
+    return seed._relabeled(inv, order, head), pi
 
 
 def canonical_key(seed) -> bytes:
@@ -206,7 +201,7 @@ def explore(
     exactly on those immutable objects (see the mutation module).
     """
     inv, order, head, _, rkey = _canonical(root)
-    nodes: dict[bytes, ClassicalSeed | QuantumSeed] = {rkey: _relabeled(root, inv, order, head)}
+    nodes: dict[bytes, ClassicalSeed | QuantumSeed] = {rkey: root._relabeled(inv, order, head)}
     known = _file({}, root.vars)
     depths: dict[bytes, int] = {rkey: 0}
     parents: dict[bytes, tuple[bytes, int] | None] = {rkey: None}
@@ -235,7 +230,7 @@ def explore(
                     if max_seeds is not None and len(nodes) >= max_seeds:
                         status = GraphStatus.CAPPED_BY_SEEDS
                         break
-                    nodes[ckey] = _relabeled(child, inv, order, head)
+                    nodes[ckey] = child._relabeled(inv, order, head)
                     depths[ckey] = depth + 1
                     parents[ckey] = (key, k)
                     queue.append(ckey)

@@ -174,11 +174,6 @@ def _int_mul_into(acc: dict, left: dict, right: dict, packing) -> None:
                 del acc[k]
 
 
-def _int_collect(rc: int) -> int:
-    """An integer remainder entry is its coefficient: the steps subtract at once."""
-    return rc
-
-
 def _int_division_step(g: dict, b: int, packing):
     """The step of exact division by g, whose leading term is g[b] X^b.
 
@@ -215,25 +210,22 @@ class _SparseLaurent:
     (_operand) and hashes as that int.  The constructors and views over
     a frame of width m belong to _FramedLaurent (torus).  Subclasses
     supply the keys (_packing) and their error wording (_RING,
-    _MISMATCH); TorusElement replaces the ring's four hooks:
+    _MISMATCH); TorusElement replaces the ring's three hooks:
     - _scalar(value), the coefficient that value is, else None;
     - _mul_into(acc, left, right, packing), the product kernel;
     - _division_step(g, b, packing), built once per division by g with
       leading term g[b] X^b: its step divides the leading coefficients
       and subtracts the quotient term times the rest of g from the
-      remainder, at once or filed per product monomial;
-    - _collect(entry), the coefficient of a remainder entry once its
-      monomial is on top: the identity for integer coefficients, which
-      the step subtracts at once; for the torus, the sum of the products
-      filed under it, decoded once.
-    Division is right-only; the torus derives its left division through
-    bar.
+      remainder, at once (integers) or filed per product monomial;
+    and adds _collect(entry), the coefficient of the products its step
+    filed as a list under one remainder monomial, or None if they cancel;
+    any other remainder entry is its own coefficient.  Division is
+    right-only; the torus derives its left division through bar.
     """
 
     __slots__ = ("_frame", "_terms")
     _scalar = staticmethod(_int_scalar)
     _mul_into = staticmethod(_int_mul_into)
-    _collect = staticmethod(_int_collect)
     _division_step = staticmethod(_int_division_step)
 
     @classmethod
@@ -335,8 +327,9 @@ class _SparseLaurent:
 
         Greedy cancellation of the leading term (graded-lex; plain
         exponent order for QLaurent).  Each turn pops the top monomial t
-        of the remainder and collects its coefficient; one that comes out
-        zero (its subtractions cancel) is skipped.  Otherwise the step
+        of the remainder.  Its entry is its coefficient, or the list of
+        products a torus step filed under t, summed by _collect; t is
+        skipped if they cancel.  Otherwise the step
         finds the quotient term c X^a with a = t - b, whose product with
         the leading term g[b] X^b cancels the popped term, and subtracts
         c X^a times the rest of g.  Every quotient exponent lies in the
@@ -364,7 +357,7 @@ class _SparseLaurent:
         lo, hi = list(map(sub, f_lo, g_lo)), list(map(sub, f_hi, g_hi))
         if any(map(gt, lo, hi)):
             raise NotDivisibleError("divisor support exceeds dividend support")
-        within, collect = packing.within, self._collect
+        within = packing.within
         b = max(g)
         shift = packing.base - b
         step = self._division_step(g, b, packing)
@@ -372,8 +365,8 @@ class _SparseLaurent:
         quot: dict = {}
         while rem:
             t = max(rem)
-            rc = collect(rem.pop(t))
-            if not rc:  # the subtractions filed under t cancel
+            rc = rem.pop(t)
+            if type(rc) is list and not (rc := self._collect(rc)):  # the products cancel
                 continue
             a = t + shift
             if a & top:

@@ -370,7 +370,9 @@ class _Seed:
         return out
 
     def _relabeled(self, inv, order, record: dict):
-        """The seed relabeled by _relabel(…, inv, order); record is its _record(inv, order)."""
+        """Itself for the identity inv, else its _relabel(…, inv, order) from record, d checked."""
+        if inv == sorted(inv):
+            return self
         b = ExchangeMatrix._derived(record["B"], self.b.ex, tuple(self.b.d[j] for j in order))
         return self._rebuild(b, tuple(self.vars[i] for i in inv), record)
 

@@ -527,12 +527,11 @@ class TorusElement(_FramedLaurent):
         _add_into(acc, _v_sum(outer, k))
 
     @staticmethod
-    def _collect(entry) -> QLaurent | None:
-        """The coefficient of a remainder entry of exact division, or None.
+    def _collect(entry: list) -> QLaurent | None:
+        """The coefficient of the pairs filed under one remainder monomial, or None.
 
-        An entry is a coefficient of the dividend that no subtraction has
-        reached, or the list of pairs (y, ly, x) that _division_step filed
-        under its monomial: one-term scans of y X^b, keyed b - base, and
+        The entry is the list of pairs (y, ly, x) that _division_step filed
+        under the monomial: one-term scans of y X^b, keyed b - base, and
         of x X^a, keyed a, with ly = Lambda b.  Each pair adds (x X^a) *
         (y X^b) = x y v^(a . ly) X^(a+b) at the key a + b - base of the
         monomial.  A coefficient c X^t of the dividend joins the list as
@@ -541,8 +540,6 @@ class TorusElement(_FramedLaurent):
         in size, which gives k; the pairs are summed as ints at v = 2^k and
         decoded once (_v_sum).  None when they cancel.
         """
-        if type(entry) is not list:
-            return entry
         k = _v_width(sum(x[1] * y[1] * min(x[2], y[2]) for y, _, x in entry))
         sums = _add_into({}, _v_sum([(s, lo_s, ys, ly, _v_cut(x, k))
                                      for y, ly, x in entry

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface via main(argv)."""
 
+import argparse
 import copy
 import hashlib
 import json
@@ -7,8 +8,18 @@ import random
 
 import pytest
 
-from qcluster import NotDivisibleError, SeedVerification, dump_seed, load_seed, mutate
-from qcluster.cli import main
+from qcluster import (
+    ClusterError,
+    FrameMismatchError,
+    IncompatibleError,
+    NotDivisibleError,
+    NotSymmetrizableError,
+    SeedVerification,
+    dump_seed,
+    load_seed,
+    mutate,
+)
+from qcluster.cli import build_parser, main
 
 
 def write_json(tmp_path, name, obj):
@@ -513,21 +524,108 @@ def test_unknown_flag_is_usage_error(capsys, a2_file):
     assert info.value.code == 2
 
 
-def test_not_divisible_error_reports_direction_and_path(capsys, monkeypatch, a2_file):
+# Every verb in order, with its handler, help line and each action's
+# (class, option strings, dest, default, choices, required, help, type).
+# Structure, not --help text, so no argparse wrapping or version enters.
+HELP_ACTION = (
+    "_HelpAction", ["-h", "--help"], "help", argparse.SUPPRESS, None, False,
+    "show this help message and exit", None,
+)
+FULL = ("_StoreTrueAction", ["--full"], "full", False, None, False, "include variables in output", None)
+JSON_TEXT = ("_StoreAction", ["--format"], "format", "json", ["json", "text"], False, None, None)
+
+
+def input_action(help):
+    return ("_StoreAction", [], "input", None, None, True, help, None)
+
+
+PARSER_CONTRACT = [
+    ("check", "_cmd_check", "validate a seed file and print its symmetrizer",
+     [HELP_ACTION, input_action("seed JSON file"), JSON_TEXT]),
+    ("mutate", "_cmd_mutate", "apply a mutation sequence", [
+        HELP_ACTION,
+        input_action("seed JSON file"),
+        ("_StoreAction", ["--at"], "at", None, None, True, "comma-separated 1-based directions", None),
+        FULL,
+        JSON_TEXT,
+    ]),
+    ("explore", "_cmd_explore", "breadth-first exchange-graph closure", [
+        HELP_ACTION,
+        input_action("seed JSON file"),
+        ("_StoreAction", ["--max-seeds"], "max_seeds", 10000, None, False, "negative = unlimited", int),
+        ("_StoreAction", ["--max-depth"], "max_depth", 32, None, False, "negative = unlimited", int),
+        ("_StoreTrueAction", ["--full"], "full", False, None, False, "embed variables in JSON nodes", None),
+        ("_StoreAction", ["--format"], "format", "json", ["json", "dot", "text"], False, None, None),
+    ]),
+    ("specialize", "_cmd_specialize", "print the q=1 classical shadow",
+     [HELP_ACTION, input_action("quantum seed JSON file"), FULL, JSON_TEXT]),
+    ("principal-lambda", "_cmd_principal", "build the principal-coefficient frame from B", [
+        HELP_ACTION,
+        input_action("JSON file with B and optional Lambda0, D"),
+        ("_StoreTrueAction", ["--full-seed"], "full_seed", False, None, False,
+         "also emit a loadable 2n-seed", None),
+        JSON_TEXT,
+    ]),
+]
+
+
+def test_parser_contract():
+    parser = build_parser()
+    assert (parser.prog, parser.description) == (
+        "qcluster", "Exact engine for classical and quantum cluster algebra seeds."
+    )
+    top = [(type(a).__name__, a.option_strings, a.dest, a.required) for a in parser._actions]
+    assert top == [
+        ("_HelpAction", ["-h", "--help"], "help", False),
+        ("_SubParsersAction", [], "verb", True),
+    ]
+    sub = parser._actions[1]
+    help_lines = {choice.dest: choice.help for choice in sub._choices_actions}
+    got = [
+        (verb, p.get_default("func").__name__, help_lines[verb], [
+            (type(a).__name__, a.option_strings, a.dest, a.default, a.choices, a.required,
+             a.help, a.type)
+            for a in p._actions
+        ])
+        for verb, p in sub.choices.items()
+    ]
+    assert list(help_lines) == list(sub.choices)
+    assert got == PARSER_CONTRACT
+
+
+CONTEXT = {"seed": "the seed", "direction": 1, "path": (0, 1), "position": (2, 0), "step": 3}
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ClusterError, NotDivisibleError, IncompatibleError, NotSymmetrizableError, FrameMismatchError],
+    ids=lambda error: error.__name__,
+)
+def test_error_context_reaches_the_payload(capsys, monkeypatch, a2_file, error):
+    # every domain error takes the same keywords, each setting its own field
+    for name, value in CONTEXT.items():
+        exc = error("left the ring", **{name: value})
+        assert {k: getattr(exc, k) for k in CONTEXT} == {
+            k: value if k == name else None for k in CONTEXT
+        }
+    for count in range(1, len(CONTEXT) + 1):
+        with pytest.raises(TypeError):
+            error("left the ring", *list(CONTEXT.values())[:count])
+
     # explore never fails on a valid seed file, so raise its error by hand
     def failing(seed, **caps):
-        exc = NotDivisibleError("left the ring", seed=seed, direction=1)
-        exc.path = (0, 1)
-        raise exc
+        raise error("left the ring", seed=seed, direction=1, path=(0, 1), position=(2, 0), step=3)
 
     monkeypatch.setattr("qcluster.cli.explore", failing)
     code, out, err = run(capsys, ["explore", a2_file])
     assert code == 1 and out == ""
     assert json.loads(err) == {
-        "error": "not_divisible",
+        "error": error.code,
         "message": "left the ring",
         "direction": 2,
         "path": [1, 2],
+        "position": [3, 1],
+        "step": 4,
     }
 
 

@@ -751,6 +751,16 @@ def test_canonical_seeds_built_only_for_new_nodes(monkeypatch):
         assert pi == tuple(range(node.m))
 
 
+def test_stored_quantum_nodes_are_their_own_canonical_form():
+    # a stored node is canonical, so its relabeling is the identity: the node itself
+    g = explore(principal_seed(D4_ROWS))
+    assert g.node_count == 50
+    for node in g.nodes.values():
+        canon, pi = canonical_form(node)
+        assert canon is node
+        assert pi == tuple(range(node.m))
+
+
 
 def _count_serializations(monkeypatch, root, **kwargs):
     """(graph, to_json calls, mutations, distinct variables) of one explore."""
