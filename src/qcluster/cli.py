@@ -18,6 +18,7 @@ from typing import Sequence
 from .errors import ClusterError, NotDivisibleError
 from .explorer import _indented, explore, export_dot, export_json, laurent_report
 from .mutation import verify_quantum_seed
+from .qlaurent import from_decimal
 from .seeds import (
     QuantumSeed,
     dump_seed,
@@ -34,8 +35,9 @@ def _emit_error(code: str, message: str, **extra) -> None:
     print(json.dumps(data, sort_keys=True), file=sys.stderr)
 
 
-def _print_json(data) -> None:
-    print(_indented(data))
+def _show(args, data, text) -> None:
+    """Print data as indented JSON, or for --format text the lines text() builds."""
+    print(_indented(data) if args.format == "json" else "\n".join(text()))
 
 
 def _load_input(path: str):
@@ -61,14 +63,23 @@ def _text_lines(record: dict) -> list[str]:
     return lines
 
 
-def _seed_text(seed, full: bool) -> str:
+def _seed_lines(seed, full: bool) -> list[str]:
     lines = _text_lines(dump_seed(seed))
     if full:
         lines += ["vars:"] + [f"  [{i}] {v}" for i, v in enumerate(seed.vars, 1)]
-    return "\n".join(lines)
+    return lines
 
 
-def _report_text(report) -> list[str]:
+def _check_lines(data: dict) -> list[str]:
+    record = {"type": data["type"], "d": data["d"]}
+    for name, entry in data.get("verification", {}).items():
+        if name != "ok":
+            record[name] = "ok" if entry["ok"] else "FAILED"
+            record.update((f"{name}.{k}", v) for k, v in entry.items() if k != "ok")
+    return _text_lines(record) + ["ok" if data["ok"] else "FAILED"]
+
+
+def _report_lines(report, full: bool) -> list[str]:
     lines = []
     for row in report.rows:
         if not row.ok:
@@ -79,14 +90,15 @@ def _report_text(report) -> list[str]:
             f"step {row.step}: direction {row.direction + 1} Laurent, "
             f"{len(row.support)} terms, denominator ({denom})"
         )
+    if report.final is not None:
+        lines += _seed_lines(report.final, full)
     return lines
 
 
 def _parse_sequence(text: str) -> list[int]:
-    try:
-        ks = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(f"--at expects comma-separated integers, got {text!r}") from None
+    ks = [from_decimal(part.strip()) for part in text.split(",") if part.strip() != ""]
+    if any(type(k) is not int for k in ks):
+        raise ValueError(f"--at expects comma-separated integers, got {text!r}")
     if not ks:
         raise ValueError("--at needs at least one direction")
     if any(k < 1 for k in ks):
@@ -106,17 +118,7 @@ def _cmd_check(args) -> int:
         }
     else:
         data = {"type": "classical", "ok": True, "d": list(seed.b.d)}
-    if args.format == "json":
-        _print_json(data)
-    else:
-        record = {"type": data["type"], "d": data["d"]}
-        for name, entry in data.get("verification", {}).items():
-            if name != "ok":
-                record[name] = "ok" if entry["ok"] else "FAILED"
-                record.update((f"{name}.{k}", v) for k, v in entry.items() if k != "ok")
-        lines = _text_lines(record)
-        lines.append("ok" if data["ok"] else "FAILED")
-        print("\n".join(lines))
+    _show(args, data, lambda: _check_lines(data))
     if not data["ok"]:
         _emit_error("verification_failed", "quantum seed verification failed")
         return 1
@@ -130,16 +132,10 @@ def _cmd_mutate(args) -> int:
         if k not in seed.b.ex:
             raise ValueError(f"direction {k + 1} is not exchangeable")
     report = laurent_report(seed, sequence)
-    if args.format == "json":
-        data = {"report": report.to_json()}
-        if report.final is not None:
-            data["seed"] = dump_seed(report.final, full=args.full)
-        _print_json(data)
-    else:
-        lines = _report_text(report)
-        if report.final is not None:
-            lines.append(_seed_text(report.final, full=args.full))
-        print("\n".join(lines))
+    data = {"report": report.to_json()}
+    if report.final is not None:
+        data["seed"] = dump_seed(report.final, full=args.full)
+    _show(args, data, lambda: _report_lines(report, args.full))
     if not report.completed:
         row = report.rows[-1]
         raise NotDivisibleError(row.error, direction=row.index, step=row.step - 1)
@@ -171,10 +167,7 @@ def _cmd_specialize(args) -> int:
     if not isinstance(seed, QuantumSeed):
         raise ValueError("specialize expects a quantum seed file (with Lambda)")
     shadow = specialize_seed(seed)
-    if args.format == "json":
-        _print_json(dump_seed(shadow, full=args.full))
-    else:
-        print(_seed_text(shadow, full=args.full))
+    _show(args, dump_seed(shadow, full=args.full), lambda: _seed_lines(shadow, args.full))
     return 0
 
 
@@ -191,10 +184,7 @@ def _cmd_principal(args) -> int:
         d = json_ints(d, "D", 1)
     seed = dump_seed(principal_seed(bmat, lambda0, d))
     data = {"Lambda": seed["Lambda"], "d": seed.pop("d")}
-    if args.format == "text":
-        print("\n".join(_text_lines(data)))
-    else:
-        _print_json(dict(data, seed=seed) if args.full_seed else data)
+    _show(args, dict(data, seed=seed) if args.full_seed else data, lambda: _text_lines(data))
     return 0
 
 

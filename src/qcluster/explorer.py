@@ -176,7 +176,8 @@ def explore(
     stops with CappedBySeeds the moment one more distinct seed would
     exceed max_seeds, and a node at depth max_depth is recorded but not
     expanded (CappedByDepth if any such node remains unexpanded).  Caps
-    of None mean unlimited.  With the default max_depth=32, a max_seeds
+    of None mean unlimited; any other cap must be an int >= 0 (not a
+    bool), else ValueError.  With the default max_depth=32, a max_seeds
     larger than the number of seeds within depth 32 never binds; on a
     rank-2 infinite class that number is 2*32+1 = 65.  NotDivisibleError
     from a mutation is re-raised with its path from the root set.  A
@@ -200,6 +201,9 @@ def explore(
     exponents and v-shifts, so the same numerator, reuses the check made
     exactly on those immutable objects (see the mutation module).
     """
+    for name, cap in (("max_seeds", max_seeds), ("max_depth", max_depth)):
+        if cap is not None and (type(cap) is not int or cap < 0):
+            raise ValueError(f"{name} must be None or an int >= 0, got {cap!r}")
     inv, order, head, _, rkey = _canonical(root)
     nodes: dict[bytes, ClassicalSeed | QuantumSeed] = {rkey: root._relabeled(inv, order, head)}
     known = _file({}, root.vars)

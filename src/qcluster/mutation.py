@@ -208,8 +208,9 @@ def verify_quantum_seed(seed: QuantumSeed) -> SeedVerification:
         if qc_fail is not None:
             break
         for j in range(i + 1, m):
-            t = seed.vars[i].quasi_commutation(seed.vars[j])
-            if t != seed.lam.entry(i, j):
+            x, y = seed.vars[i], seed.vars[j]
+            # a zero variable quasi-commutes with nothing (quasi_commutation raises)
+            if not (x and y) or x.quasi_commutation(y) != seed.lam.entry(i, j):
                 qc_fail = (i, j)
                 break
     bar_fail = None

@@ -19,7 +19,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import IncompatibleError, NotSymmetrizableError
-from .torus import CommLaurent, SkewMatrix, TorusElement, _int_rows, _int_tuple
+from .torus import CommLaurent, SkewMatrix, TorusElement, _int_rows, _int_tuple, _IntMatrix
 
 
 def _check_symmetrizer(rows, d, what: str = "no symmetrizer: check failed") -> None:
@@ -90,7 +90,7 @@ def find_skew_symmetrizer(b) -> tuple[int, ...]:
     return tuple(d)
 
 
-class ExchangeMatrix:
+class ExchangeMatrix(_IntMatrix):
     """An m x n integer matrix with n distinguished exchangeable rows.
 
     Column j is the exchange data of direction ex[j]; the principal part
@@ -99,7 +99,7 @@ class ExchangeMatrix:
     matrix_mutate and a seed's relabeling (_Seed._relabeled).
     """
 
-    __slots__ = ("_rows", "_ex", "_d")
+    __slots__ = ("_ex", "_d")
 
     def __init__(self, rows: Sequence[Sequence[int]], ex: Sequence[int] | None = None):
         m = len(rows)
@@ -130,16 +130,11 @@ class ExchangeMatrix:
         and k keeps its neighbours), so each keeps gcd 1 and the carried d,
         permuted with the columns, stays minimal: it is checked, not searched.
         """
-        out = cls.__new__(cls)
-        out._rows = tuple(map(tuple, rows))
+        out = super()._derived(rows)
         out._ex = ex
         _check_symmetrizer(out.principal(), d)
         out._d = d
         return out
-
-    @property
-    def m(self) -> int:
-        return len(self._rows)
 
     @property
     def n(self) -> int:
@@ -154,13 +149,6 @@ class ExchangeMatrix:
         """Canonical skew-symmetrizer of the principal part, aligned with ex."""
         return self._d
 
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return self._rows
-
-    def entry(self, i: int, j: int) -> int:
-        """Entry at row i (in [0, m)) and column position j (in [0, n))."""
-        return self._rows[i][j]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self._rows)
 
@@ -174,13 +162,8 @@ class ExchangeMatrix:
             return self._ex.index(k)
         raise ValueError(f"index {k!r} is not exchangeable")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExchangeMatrix):
-            return NotImplemented
-        return self._rows == other._rows and self._ex == other._ex
-
-    def __hash__(self) -> int:
-        return hash((self._rows, self._ex))
+    def _key(self):
+        return self._rows, self._ex
 
     def __repr__(self) -> str:
         return f"ExchangeMatrix({[list(r) for r in self._rows]!r}, ex={list(self._ex)!r})"

@@ -57,26 +57,14 @@ def _int_rows(rows: Iterable, what: str, width: int) -> tuple[tuple[int, ...], .
     return tup
 
 
-class SkewMatrix:
-    """A skew-symmetric m x m integer matrix, the frame of a torus."""
+class _IntMatrix:
+    """Int rows as tuples; == and hash hold per type, over _key()."""
 
     __slots__ = ("_rows",)
 
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        m = len(rows)
-        tup = _int_rows(rows, "Lambda", m)
-        for i in range(m):
-            for j in range(i, m):
-                if tup[i][j] != -tup[j][i]:
-                    raise ValueError(
-                        f"not skew-symmetric at ({i}, {j}): "
-                        f"{tup[i][j]} != -{tup[j][i]}"
-                    )
-        self._rows = tup
-
     @classmethod
-    def _derived(cls, rows) -> "SkewMatrix":
-        """The frame of int rows that the caller's construction keeps skew; not re-validated."""
+    def _derived(cls, rows):
+        """The matrix of int rows that the caller's construction keeps valid; not re-validated."""
         out = cls.__new__(cls)
         out._rows = tuple(map(tuple, rows))
         return out
@@ -90,6 +78,35 @@ class SkewMatrix:
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         return self._rows
+
+    def _key(self):
+        return self._rows
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class SkewMatrix(_IntMatrix):
+    """A skew-symmetric m x m integer matrix, the frame of a torus."""
+
+    __slots__ = ()
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        m = len(rows)
+        tup = _int_rows(rows, "Lambda", m)
+        for i in range(m):
+            for j in range(i, m):
+                if tup[i][j] != -tup[j][i]:
+                    raise ValueError(
+                        f"not skew-symmetric at ({i}, {j}): "
+                        f"{tup[i][j]} != -{tup[j][i]}"
+                    )
+        self._rows = tup
 
     def image(self, c: Sequence[int]) -> list[int]:
         """The vector Lambda c: Lambda(a, c) = a . Lambda c = -c . Lambda a.
@@ -115,14 +132,6 @@ class SkewMatrix:
         images = [self.image(c) for c in columns]
         return SkewMatrix([[sum(map(mul, ci, lc)) for lc in images] for ci in columns])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SkewMatrix):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
     def __repr__(self) -> str:
         return f"SkewMatrix({[list(r) for r in self._rows]!r})"
 
@@ -133,6 +142,8 @@ def reorder_weight(lam: SkewMatrix, a: Sequence[int]) -> int:
     w = sum over i > j of lambda_ij a_i a_j.
     """
     rows = lam.rows()
+    if len(a) != len(rows):
+        raise ValueError(f"expected vectors of length {len(rows)}")
     total = 0
     for i, ai in enumerate(a):
         if ai:

@@ -15,6 +15,7 @@ from qcluster import (
     NotDivisibleError,
     NotSymmetrizableError,
     SeedVerification,
+    TorusElement,
     dump_seed,
     load_seed,
     mutate,
@@ -235,7 +236,9 @@ def test_mutate_emits_denominators(capsys, a2_file):
     assert [row["denominator"] for row in rows] == [[1, 0], [1, 1]]
 
 
-def test_mutate_quantum_seed(capsys, m2n1_file):
+def test_mutate_quantum_seed(capsys, monkeypatch, m2n1_file):
+    # the JSON record builds no text view: no variable is rendered with str()
+    monkeypatch.setattr(TorusElement, "__str__", lambda self: pytest.fail("str() called"))
     code, out, err = run(capsys, ["mutate", m2n1_file, "--at", "1", "--full"])
     assert code == 0
     data = json.loads(out)
@@ -268,7 +271,7 @@ def test_mutate_frozen_direction_exits_2(capsys, m2n1_file):
 
 
 def test_mutate_bad_sequence_exits_2(capsys, a2_file):
-    for bad in ("1,x", "0", ""):
+    for bad in ("1,x", "0", "", "1_2", "+1", "１"):
         code, out, err = run(capsys, ["mutate", a2_file, "--at", bad])
         assert code == 2, bad
         assert json.loads(err)["error"] == "parse_error"

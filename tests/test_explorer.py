@@ -226,6 +226,17 @@ def test_unlimited_caps_accepted_on_finite_type():
     assert g.node_count == 5
 
 
+@pytest.mark.parametrize("cap", [0, None, True, 2.5, -3, -1, "5"])
+@pytest.mark.parametrize("name", ["max_seeds", "max_depth"])
+def test_caps_are_none_or_nonnegative_ints(name, cap):
+    if cap is None or type(cap) is int and cap >= 0:
+        g = explore(a2_classical(), **{name: cap})
+        assert g.node_count == (1 if cap == 0 else 5)
+    else:
+        with pytest.raises(ValueError, match=f"{name} must be None or an int >= 0"):
+            explore(a2_classical(), **{name: cap})
+
+
 # -- determinism and exports ---------------------------------------------
 
 

@@ -585,3 +585,11 @@ def test_verify_detects_bar_violation():
     assert not rep.bar_invariance_ok
     assert rep.bar_invariance_failure == 0
     assert rep.to_json()["bar_invariance"] == {"ok": False, "first_failure": 1}
+
+
+def test_verify_reports_zero_variable_as_quasi_commutation_failure():
+    s = a2_quantum()
+    tampered = QuantumSeed(s.lam, s.b, (TorusElement.zero(s.lam), s.vars[1]), s.d)
+    rep = verify_quantum_seed(tampered)
+    assert rep.quasi_commutation_failure == (0, 1)
+    assert not rep.ok

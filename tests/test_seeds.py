@@ -207,6 +207,12 @@ def test_exchange_matrix_equality_hash_and_repr():
         ExchangeMatrix([])
     lam = SkewMatrix([[0, 1, -2], [-1, 0, 3], [2, -3, 0]])
     assert eval(repr(lam)) == lam
+    twin = SkewMatrix(lam.rows())
+    assert lam == twin and hash(lam) == hash(twin)
+    # the same square rows make no SkewMatrix equal to an ExchangeMatrix
+    square = ExchangeMatrix(lam.rows())
+    assert lam != square and square != lam
+    assert lam.__eq__(square) is NotImplemented and square.__eq__(lam) is NotImplemented
 
 
 def test_matrix_mutate_rank2_sign_flip():

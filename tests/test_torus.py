@@ -158,6 +158,9 @@ def test_ordered_terms_normalization():
     f = TorusElement.monomial(L2, (1, 1))
     assert f.ordered_terms() == [((1, 1), QLaurent.v_power(-1))]
     assert reorder_weight(L2, (1, 1)) == -1
+    for a in ((1,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="expected vectors of length 2"):
+            reorder_weight(L2, a)
     # the ordered coefficients reassemble the element exactly
     rng = random.Random(23)
     for _ in range(50):
