@@ -35,9 +35,9 @@ def _emit_error(code: str, message: str, **extra) -> None:
     print(json.dumps(data, sort_keys=True), file=sys.stderr)
 
 
-def _show(args, data, text) -> None:
-    """Print data as indented JSON, or for --format text the lines text() builds."""
-    print(_indented(data) if args.format == "json" else "\n".join(text()))
+def _show(args, record, text) -> None:
+    """Print record() as indented JSON, or for --format text the lines text() builds."""
+    print(_indented(record()) if args.format == "json" else "\n".join(text()))
 
 
 def _load_input(path: str):
@@ -118,7 +118,7 @@ def _cmd_check(args) -> int:
         }
     else:
         data = {"type": "classical", "ok": True, "d": list(seed.b.d)}
-    _show(args, data, lambda: _check_lines(data))
+    _show(args, lambda: data, lambda: _check_lines(data))
     if not data["ok"]:
         _emit_error("verification_failed", "quantum seed verification failed")
         return 1
@@ -132,10 +132,13 @@ def _cmd_mutate(args) -> int:
         if k not in seed.b.ex:
             raise ValueError(f"direction {k + 1} is not exchangeable")
     report = laurent_report(seed, sequence)
-    data = {"report": report.to_json()}
-    if report.final is not None:
-        data["seed"] = dump_seed(report.final, full=args.full)
-    _show(args, data, lambda: _report_lines(report, args.full))
+
+    def record() -> dict:  # built only for --format json
+        data = {"report": report.to_json()}
+        if report.final is not None:
+            data["seed"] = dump_seed(report.final, full=args.full)
+        return data
+    _show(args, record, lambda: _report_lines(report, args.full))
     if not report.completed:
         row = report.rows[-1]
         raise NotDivisibleError(row.error, direction=row.index, step=row.step - 1)
@@ -167,7 +170,7 @@ def _cmd_specialize(args) -> int:
     if not isinstance(seed, QuantumSeed):
         raise ValueError("specialize expects a quantum seed file (with Lambda)")
     shadow = specialize_seed(seed)
-    _show(args, dump_seed(shadow, full=args.full), lambda: _seed_lines(shadow, args.full))
+    _show(args, lambda: dump_seed(shadow, full=args.full), lambda: _seed_lines(shadow, args.full))
     return 0
 
 
@@ -184,7 +187,7 @@ def _cmd_principal(args) -> int:
         d = json_ints(d, "D", 1)
     seed = dump_seed(principal_seed(bmat, lambda0, d))
     data = {"Lambda": seed["Lambda"], "d": seed.pop("d")}
-    _show(args, dict(data, seed=seed) if args.full_seed else data, lambda: _text_lines(data))
+    _show(args, lambda: dict(data, seed=seed) if args.full_seed else data, lambda: _text_lines(data))
     return 0
 
 

@@ -378,31 +378,47 @@ def _display_order(graph: ExchangeGraph):
     return ids, nodes, edges
 
 
+_SLOT = _Raw("\0")  # json's text escapes a NUL, so a raw one marks where a value goes
+
+
 def export_json(graph: ExchangeGraph, full: bool = False) -> str:
-    """Stable JSON rendering of a graph; full=True embeds the variables."""
+    """Stable JSON rendering of a graph; full=True embeds the variables.
+
+    _indented lays out each record shape once around _SLOTs: the top record,
+    an edge, a node's envelope and each node's dump_seed record, with a slot
+    per variable.  The pieces between slots, the ids, depths, ks and each
+    distinct variable's text (rendered once) go to one list, joined once.
+    """
     ids, keys, edges = _display_order(graph)
-    texts: dict[bytes, _Raw] = {}  # equal _var_key bytes, equal to_json(): render each once
-    nodes = []
+    quoted = {key: _encode(i) for key, i in ids.items()}
+    two = [_SLOT, _SLOT]  # a list's opening, its separator and its close
+    top = {"edge_count": graph.edge_count, "edges": two if edges else [],
+           "node_count": graph.node_count, "nodes": two,
+           "root": ids[graph.root], "status": graph.status.value}
+    *lead, node_sep, tail = _indented(top).split(_SLOT)  # edges sort before nodes
+    edge = _indented({"from": _SLOT, "k": _SLOT, "to": _SLOT}, "\n    ").split(_SLOT)
+    node = _indented({"depth": _SLOT, "id": _SLOT, "seed": _SLOT}, "\n    ").split(_SLOT)
+    out = [lead[0]]
+    for a, k, c in edges:
+        out += (edge[0], quoted[a], edge[1], str(k + 1), edge[2], quoted[c], edge[3], lead[1])
+    if edges:
+        out[-1] = lead[2]
+    texts: dict[bytes, str] = {}  # equal _var_key bytes, equal to_json(): render each once
     for key in keys:
         seed = graph.nodes[key]
         record = dump_seed(seed)
         if full:
-            record["vars"] = []
-            for v in seed.vars:
-                vkey = _var_key(v)
-                if vkey not in texts:  # at depth 5 in data: nodes, node, seed, vars
-                    texts[vkey] = _Raw(_indented(v.to_json(), "\n" + "  " * 5))
-                record["vars"].append(texts[vkey])
-        nodes.append({"id": ids[key], "depth": graph.depths[key], "seed": record})
-    data = {
-        "status": graph.status.value,
-        "root": ids[graph.root],
-        "node_count": graph.node_count,
-        "edge_count": graph.edge_count,
-        "nodes": nodes,
-        "edges": [{"from": ids[a], "k": k + 1, "to": ids[c]} for a, k, c in edges],
-    }
-    return _indented(data)
+            record["vars"] = [_SLOT] * seed.m
+        pieces = _indented(record, "\n      ").split(_SLOT)
+        out += (node[0], str(graph.depths[key]), node[1], quoted[key], node[2], pieces[0])
+        for v, piece in zip(seed.vars, pieces[1:]):
+            vkey = _var_key(v)
+            if vkey not in texts:  # at depth 5 in the record: nodes, node, seed, vars
+                texts[vkey] = _indented(v.to_json(), "\n" + "  " * 5)
+            out += (texts[vkey], piece)
+        out += (node[3], node_sep)
+    out[-1] = tail
+    return "".join(out)
 
 
 def export_dot(graph: ExchangeGraph) -> str:

@@ -10,8 +10,10 @@ import pytest
 
 from qcluster import (
     ClusterError,
+    CommLaurent,
     FrameMismatchError,
     IncompatibleError,
+    LaurentReport,
     NotDivisibleError,
     NotSymmetrizableError,
     SeedVerification,
@@ -244,6 +246,16 @@ def test_mutate_quantum_seed(capsys, monkeypatch, m2n1_file):
     data = json.loads(out)
     assert data["seed"]["Lambda"] == [[0, 1], [-1, 0]]
     assert "vars" in data["seed"]
+
+
+@pytest.mark.parametrize("verb", [["mutate", "--at", "1,2"], ["specialize"]])
+def test_text_format_builds_no_json_record(capsys, monkeypatch, a2q_file, verb):
+    # the text view builds no JSON record: no report or variable is serialized
+    for cls in (LaurentReport, TorusElement, CommLaurent):
+        monkeypatch.setattr(cls, "to_json", lambda self: pytest.fail("to_json() called"))
+    code, out, err = run(capsys, [verb[0], a2q_file, *verb[1:], "--full", "--format", "text"])
+    assert code == 0 and err == ""
+    assert "vars:" in out.splitlines()
 
 
 def test_mutate_text_format(capsys, a2_file):

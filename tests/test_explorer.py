@@ -540,6 +540,31 @@ def test_export_json_equals_json_dumps_of_the_record(name, full):
     assert export_json(g, full=full) == unmemoised_export_json(g, full)
 
 
+# explorations cut before they close: max_depth=0 and max_seeds=1 leave the
+# root alone, with an empty edge list
+CAPPED_EXPORTS = {
+    "max_depth=0": ({"max_depth": 0}, GraphStatus.CAPPED_BY_DEPTH, 1),
+    "max_seeds=1": ({"max_seeds": 1}, GraphStatus.CAPPED_BY_SEEDS, 1),
+    "max_seeds=3": ({"max_seeds": 3}, GraphStatus.CAPPED_BY_SEEDS, 3),
+}
+
+
+@pytest.mark.parametrize("full", [True, False])
+@pytest.mark.parametrize("cap", sorted(CAPPED_EXPORTS))
+@pytest.mark.parametrize(
+    "build",
+    [lambda: classical(a_rows(5)), lambda: principal_seed(D4_ROWS)],
+    ids=["A5", "principal-D4"],
+)
+def test_export_json_of_capped_graphs_equals_json_dumps_of_the_record(build, cap, full):
+    kwargs, status, nodes = CAPPED_EXPORTS[cap]
+    g = explore(build(), **kwargs)
+    assert (g.status, g.node_count) == (status, nodes)
+    text = export_json(g, full=full)
+    assert text == unmemoised_export_json(g, full)
+    assert ('"edges": []' in text) == (g.edge_count == 0) == (nodes == 1)
+
+
 @pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
 def test_export_json_renders_each_distinct_variable_once(name, monkeypatch):
     from qcluster.explorer import _var_key
