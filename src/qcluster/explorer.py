@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import blake2b
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Mapping, Sequence
 
@@ -363,9 +364,12 @@ def _cluster_summary(seed, texts: dict, limit: int = 28) -> str:
     parts = []
     for k in seed.b.ex:
         key = _var_key(seed.vars[k])
-        if key not in texts:  # each distinct variable is rendered once per export
-            s = str(seed.vars[k])
-            texts[key] = s if len(s) <= limit else s[: limit - 3] + "..."
+        if key not in texts:  # each distinct variable is rendered once per export,
+            for s in accumulate(seed.vars[k]._pieces()):  # piece by piece to the cut
+                if len(s) > limit:
+                    s = s[: limit - 3] + "..."
+                    break
+            texts[key] = s
         parts.append(texts[key])
     return ", ".join(parts)
 

@@ -122,21 +122,21 @@ def _add_into(acc: dict, items) -> dict:
     return acc
 
 
-def _signed_sum(terms) -> str:
-    """Render (int coefficient, monomial text or "") pairs as a signed sum.
+def _signed_pieces(terms):
+    """The pieces of (int coefficient, monomial text or "") pairs as a signed sum.
 
-    "-" before a negative first term, " + " / " - " between terms, and
-    the coefficient dropped when its magnitude is 1 before a monomial.
+    "-" before a negative first term, " + " / " - " before each later one,
+    the coefficient dropped when its magnitude is 1 before a monomial, and
+    "0" for no terms.  Pieces are rendered as they are read.
     """
-    parts = []
+    plus, minus = "", "-"
     for c, mono in terms:
         mag = abs(c)
         body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
-        if parts:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        else:
-            parts.append(body if c > 0 else f"-{body}")
-    return " ".join(parts) or "0"
+        yield (plus if c > 0 else minus) + body
+        plus, minus = " + ", " - "
+    if not plus:
+        yield "0"
 
 
 def _int_tuple(values: Iterable, what: str) -> tuple[int, ...]:
@@ -160,11 +160,35 @@ def _int_scalar(value) -> int | None:
 
 
 def _int_mul_into(acc: dict, left: dict, right: dict, packing) -> None:
-    """Add the product of the integer term maps left * right into acc."""
-    get = acc.get
+    """Add the product of the integer term maps left * right into acc.
+
+    The ring commutes, so a square (left is right) visits each unordered
+    pair of terms once: c_a^2 X^(2a), then 2 c_a c_b X^(a+b) for each
+    later term c_b X^b.
+    """
+    get, base = acc.get, packing.base
+    if left is right:
+        terms = list(left.items())
+        for i, (a, ca) in enumerate(terms, 1):
+            k = a + a - base
+            s = get(k, 0) + ca * ca
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+            a -= base
+            ca += ca
+            for b, cb in terms[i:]:
+                k = a + b
+                s = get(k, 0) + ca * cb
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
+        return
     right = right.items()
     for a, ca in left.items():
-        a -= packing.base
+        a -= base
         for b, cb in right:
             k = a + b
             s = get(k, 0) + ca * cb
@@ -209,8 +233,10 @@ class _SparseLaurent:
     CommLaurent share: an int, never a bool, is a constant of the ring
     (_operand) and hashes as that int.  The constructors and views over
     a frame of width m belong to _FramedLaurent (torus).  Subclasses
-    supply the keys (_packing) and their error wording (_RING,
-    _MISMATCH); TorusElement replaces the ring's three hooks:
+    supply the keys (_packing), their error wording (_RING, _MISMATCH)
+    and _pieces(), the pieces of str(self) one term at a time, so
+    explorer's DOT labels can stop after the terms they keep; TorusElement
+    replaces the ring's three hooks:
     - _scalar(value), the coefficient that value is, else None;
     - _mul_into(acc, left, right, packing), the product kernel;
     - _division_step(g, b, packing), built once per division by g with
@@ -393,6 +419,9 @@ class _SparseLaurent:
             return hash(c)
         return hash((self._frame, frozenset(terms.items())))
 
+    def __str__(self) -> str:
+        return "".join(self._pieces())
+
 
 class QLaurent(_SparseLaurent):
     """A Laurent polynomial in v = q^(1/2) over the integers.
@@ -518,9 +547,9 @@ class QLaurent(_SparseLaurent):
             p = f"{exp}/2"
         return "q" if p == "1" else f"q^{{{p}}}"
 
-    def __str__(self) -> str:
+    def _pieces(self):
         q = self._q_power_str
-        return _signed_sum([(c, q(e) if e else "") for e, c in sorted(self._terms.items())])
+        return _signed_pieces([(c, q(e) if e else "") for e, c in sorted(self._terms.items())])
 
     def __repr__(self) -> str:
         return f"QLaurent({self._terms!r})"

@@ -38,7 +38,7 @@ from .qlaurent import (
     _int_tuple,
     _packing,
     _Packing,
-    _signed_sum,
+    _signed_pieces,
     _SparseLaurent,
     from_decimal,
 )
@@ -644,21 +644,22 @@ class TorusElement(_FramedLaurent):
         """
         return [(a, c.shift(reorder_weight(self._frame, a))) for a, c in self._sorted_items()]
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
+    def _pieces(self):
+        sep = ""
         for e, c in self._sorted_items():
             mono = "X^(" + ",".join(map(str, e)) + ")"
             if not any(e):
-                parts.append(str(c))
+                body = str(c)
             elif c.is_one():
-                parts.append(mono)
+                body = mono
             elif len(c) == 1:
-                parts.append(f"{c}*{mono}")
+                body = f"{c}*{mono}"
             else:
-                parts.append(f"({c})*{mono}")
-        return " + ".join(parts)
+                body = f"({c})*{mono}"
+            yield sep + body
+            sep = " + "
+        if not sep:
+            yield "0"
 
 
 class CommLaurent(_FramedLaurent):
@@ -689,9 +690,8 @@ class CommLaurent(_FramedLaurent):
     def constant(cls, m: int, n: int) -> "CommLaurent":
         return cls(m, {(0,) * m: n})
 
-    def __str__(self) -> str:
-        terms = []
-        for e, c in self._sorted_items():
-            factors = [f"x{i}" if x == 1 else f"x{i}^{x}" for i, x in enumerate(e, 1) if x]
-            terms.append((c, "*".join(factors)))
-        return _signed_sum(terms)
+    def _pieces(self):
+        return _signed_pieces(
+            (c, "*".join([f"x{i}" if x == 1 else f"x{i}^{x}" for i, x in enumerate(e, 1) if x]))
+            for e, c in self._sorted_items()
+        )

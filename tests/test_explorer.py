@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +13,7 @@ from qcluster import (
     ExchangeMatrix,
     GraphStatus,
     NotDivisibleError,
+    QLaurent,
     QuantumSeed,
     SkewMatrix,
     TorusElement,
@@ -28,6 +30,7 @@ from qcluster import (
     quantum_mutate,
     verify_quantum_seed,
 )
+from qcluster.explorer import _cluster_summary
 
 from helpers import (
     A2_ROWS,
@@ -510,6 +513,51 @@ def test_export_dot_bytes_pinned(name):
     text = export_dot(explore(build(), **kwargs))
     assert "..." in text  # a label was cut
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_DOT_DIGESTS[name]
+
+
+def _poly(constant, *more):
+    """-constant - x2 + 3*x1 + 12*x1^2*x2, plus more terms: a negative first coefficient."""
+    return CommLaurent(2, [((0, 0), -constant), ((1, 0), 3), ((0, 1), -1), ((2, 1), 12), *more])
+
+
+L2 = SkewMatrix([[0, 1], [-1, 0]])
+SUMMARY_CASES = [
+    (_poly(1), 27),
+    (_poly(10), 28),
+    (_poly(100), 29),
+    (_poly(10, ((3, 0), 1)), 35),  # a piece ends at 28, another follows
+    (_poly(1, *[((i, 2), -i) for i in range(3, 60)]), 925),
+    (TorusElement(L2, {(1, 0): QLaurent({0: 1, 2: -3})}), 17),
+    (TorusElement(L2, {(1, 0): QLaurent({0: 1, 2: -3}), (0, 1): QLaurent({1: 2}),
+                       (1, 1): QLaurent.one()}), 47),  # cut inside "(1 - 3*q)"
+]
+
+
+@pytest.mark.parametrize("var, length", SUMMARY_CASES)
+def test_dot_summary_is_str_cut_at_28(var, length):
+    # the label renders pieces of str(v) until it is past 28 characters
+    text = str(var)
+    assert len(text) == length
+    seed = SimpleNamespace(b=SimpleNamespace(ex=(0,)), vars=[var])
+    assert _cluster_summary(seed, {}) == (text if length <= 28 else text[:25] + "...")
+
+
+def test_dot_summary_renders_only_the_pieces_it_keeps(monkeypatch):
+    var, _ = SUMMARY_CASES[4]
+    want = str(var)[:25] + "..."
+    drawn = []
+    pieces = CommLaurent._pieces
+
+    def counted(self):
+        for piece in pieces(self):
+            drawn.append(piece)
+            yield piece
+
+    monkeypatch.setattr(CommLaurent, "_pieces", counted)
+    monkeypatch.setattr(CommLaurent, "__str__", lambda self: pytest.fail("str() called"))
+    seed = SimpleNamespace(b=SimpleNamespace(ex=(0,)), vars=[var])
+    assert _cluster_summary(seed, {}) == want
+    assert len(drawn) == 5 < len(var)  # 27 characters after four pieces
 
 
 def unmemoised_export_json(graph, full):

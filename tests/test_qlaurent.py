@@ -1,5 +1,6 @@
 """Scalar ring Z[q^(1/2), q^(-1/2)]: arithmetic, division, bar, JSON."""
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from qcluster import NotDivisibleError, QLaurent
 
 from helpers import random_nonzero_qlaurent, random_qlaurent
+from oracles import RefLaurent
 
 
 def test_construction_canonicalizes():
@@ -39,6 +41,40 @@ def test_ring_ops_and_int_coercion():
     assert f * 0 == QLaurent.zero()
     assert 3 * f == f * 3
     assert f * g == QLaurent({3: 3, 1: -3})
+
+
+def test_square_deletes_what_cancels():
+    # a square (left is right) adds c_a^2 v^(2a) and 2 c_a c_b v^(a+b) once per
+    # pair; in every term order, a sum that cancels leaves no stored zero
+    cases = [
+        # (v + 1/v + v^2 - 1/v^2)^2: the cross terms 2 and -2 cancel the constant
+        ({1: 1, -1: 1, 2: 1, -2: -1},
+         {2: 1, -2: 1, 4: 1, -4: 1, 3: 2, -1: -2, 1: 2, -3: -2}),
+        # (1 + 2v - 2v^2)^2: the diagonal 4v^2 and the cross term -4v^2 cancel
+        ({0: 1, 1: 2, 2: -2}, {0: 1, 1: 4, 3: -8, 4: 4}),
+    ]
+    for terms, square in cases:
+        want = QLaurent(square)
+        for order in itertools.permutations(terms.items()):
+            f = QLaurent(order)
+            assert f * f == want == f**2
+            assert {e for e, _ in (f * f).items()} == set(square)  # no zero is stored
+
+
+def test_square_matches_the_product_of_two_objects():
+    # f * f takes the square branch, f * twin (equal, not the same object) the
+    # general one; powers, which square repeatedly, match the schoolbook oracle
+    rng = random.Random(53)
+    for _ in range(100):
+        coeffs = (1, 3, 10**30 + rng.randint(0, 99))
+        f = QLaurent([(rng.randint(-6, 6), rng.choice((-1, 1)) * rng.choice(coeffs))
+                      for _ in range(rng.randint(1, 12))])
+        twin = QLaurent(dict(f.items()))
+        assert twin == f and twin is not f
+        assert f * f == f * twin == twin * f
+        terms = {(e,): c for e, c in f.items()}
+        for n in range(6):
+            assert {(e,): c for e, c in (f**n).items()} == RefLaurent(1).pow(terms, n)
 
 
 def test_mul_shifted_matches_explicit():

@@ -1,5 +1,6 @@
 """Quantum torus and its q=1 shadow: products, division, quasi-commutation."""
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -325,6 +326,42 @@ def test_comm_laurent_basics():
     assert x1 + 1 - 1 == x1
     assert 2 * x1 == x1 * 2
     assert (x1**3).coefficient((3, 0)) == 1
+
+
+def test_comm_square_deletes_what_cancels():
+    # a square (left is right) adds c_a^2 X^(2a) and 2 c_a c_b X^(a+b) once per
+    # pair; in every term order, a sum that cancels leaves no stored zero
+    cases = [
+        # (x + 1/x + y - 1/y)^2: the cross terms 2 and -2 cancel the constant
+        ({(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): -1},
+         {(2, 0): 1, (-2, 0): 1, (0, 2): 1, (0, -2): 1,
+          (1, 1): 2, (1, -1): -2, (-1, 1): 2, (-1, -1): -2}),
+        # (1 + 2x - 2x^2)^2: the diagonal 4x^2 and the cross term -4x^2 cancel
+        ({(0, 0): 1, (1, 0): 2, (2, 0): -2},
+         {(0, 0): 1, (1, 0): 4, (3, 0): -8, (4, 0): 4}),
+    ]
+    for terms, square in cases:
+        want = CommLaurent(2, square)
+        for order in itertools.permutations(terms.items()):
+            f = CommLaurent(2, order)
+            assert f * f == want == f**2
+            assert set((f * f).support()) == set(square)  # no zero is stored
+
+
+def test_comm_square_matches_the_product_of_two_objects():
+    # f * f takes the square branch, f * twin (equal, not the same object) the
+    # general one; powers, which square repeatedly, match the schoolbook oracle
+    rng = random.Random(97)
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        coeffs = (1, 2, 7, 10**25 + rng.randint(0, 99))
+        f = CommLaurent(m, [(random_vector(rng, m, 2), rng.choice((-1, 1)) * rng.choice(coeffs))
+                            for _ in range(rng.randint(1, 8))])
+        twin = CommLaurent(m, f.items())
+        assert twin == f and twin is not f
+        assert f * f == f * twin == twin * f
+        for n in range(6):
+            assert _terms(f**n) == RefLaurent(m).pow(_terms(f), n)
 
 
 def test_comm_exact_div():
