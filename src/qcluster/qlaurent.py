@@ -198,6 +198,14 @@ def _int_mul_into(acc: dict, left: dict, right: dict, packing) -> None:
                 del acc[k]
 
 
+def _int_quotient(rc: int, cg: int) -> int:
+    """rc / cg for a leading coefficient rc and the divisor's cg, else NotDivisibleError."""
+    c, leftover = divmod(rc, cg)
+    if leftover:
+        raise NotDivisibleError(f"leading coefficient {rc} not divisible by {cg}")
+    return c
+
+
 def _int_division_step(g: dict, b: int, packing):
     """The step of exact division by g, whose leading term is g[b] X^b.
 
@@ -210,9 +218,7 @@ def _int_division_step(g: dict, b: int, packing):
     del rest[b]
 
     def step(rem: dict, rc: int, a: int, av) -> int:
-        c, leftover = divmod(rc, cg)
-        if leftover:
-            raise NotDivisibleError(f"leading coefficient {rc} not divisible by {cg}")
+        c = _int_quotient(rc, cg)
         _int_mul_into(rem, {a: -c}, rest, packing)
         return c
 
@@ -363,6 +369,8 @@ class _SparseLaurent:
         supports, so the loop stops as soon as one would leave it.
         Inside the box, every product exponent lies in the support box
         of f, so the subtraction cannot overflow.
+        A QLaurent divisor n v^e has no rest, so its turns are one descending
+        pass over f: c v^t gives (c / n) v^(t - e), or the step's message.
         """
         if type(g) is not type(self) or g._frame is not self._frame:
             o = self._operand(g)
@@ -376,6 +384,9 @@ class _SparseLaurent:
         frame, f = self._frame, self._terms
         if not f:
             return self._raw(frame, {})
+        if frame is None and len(g) == 1:  # QLaurent by n v^e: the loop's steps, one pass
+            ((e, n),) = g.items()
+            return self._raw(None, {t - e: _int_quotient(f[t], n) for t in sorted(f, reverse=True)})
         packing = self._packing()
         top = packing.top
         f_lo, f_hi = packing.box(f)

@@ -152,6 +152,11 @@ def reorder_weight(lam: SkewMatrix, a: Sequence[int]) -> int:
     return total
 
 
+def _shift_scale(r: QLaurent, s: int, n: int) -> QLaurent:
+    """n v^s r, each term of r shifted by s and scaled by n: no product is formed."""
+    return QLaurent._raw(None, {t + s: x * n for t, x in r._terms.items()})
+
+
 class _FramedLaurent(_SparseLaurent):
     """The kernel over a frame of width m: TorusElement and CommLaurent.
 
@@ -510,6 +515,12 @@ class TorusElement(_FramedLaurent):
             raise TypeError(f"bad coefficient type {type(scalar).__name__}")
         return self._scaled(c)
 
+    def _scaled(self, c: QLaurent) -> "TorusElement":
+        if len(c) != 1:
+            return super()._scaled(c)
+        ((s, n),) = c._terms.items()  # n v^s: shift and scale each coefficient
+        return self._raw(self._frame, {a: _shift_scale(r, s, n) for a, r in self._terms.items()})
+
     def _mul_into(self, acc: dict, left: dict, right: dict, packing: _Packing) -> None:
         """Add the product of the term maps left * right into acc.
 
@@ -521,8 +532,22 @@ class TorusElement(_FramedLaurent):
         A left term meets at most one right term per output term, so an
         output term sums at most min(term counts) coefficient pairs, each
         of digits at most max|left| * max|right| * min(longest) in size.
+        A factor n v^e X^b on the right shifts each term r X^a of the other
+        to n r v^(e + Lambda(a, b)) X^(a+b); on the left, by Lambda(b, a).
         """
         unpack = packing.unpack
+        flip = len(right) != 1  # the one-term factor, if any, is on the left
+        if not flip or len(left) == 1:
+            ((b, c),) = (left if flip else right).items()
+            if len(c) == 1:
+                ((e, n),) = c._terms.items()
+                lb = self._frame.image(unpack(b))  # Lambda(a, b) = a . lb = -Lambda(b, a)
+                if flip:
+                    lb = [-w for w in lb]
+                other, b = right if flip else left, b - packing.base
+                shifts = [e + sum(map(mul, unpack(a), lb)) for a in other]
+                _add_into(acc, [(a + b, _shift_scale(r, s, n)) for (a, r), s in zip(other.items(), shifts)])
+                return
         left = _v_scan(zip(left, map(unpack, left), left.values()))
         right = _v_scan(zip(right, map(unpack, right), right.values()))
         # The twist Lambda(a, b) is a . (Lambda b) = b . (-Lambda a): one
@@ -574,8 +599,8 @@ class TorusElement(_FramedLaurent):
                 for j, c in g.items() if j != b]
 
         def step(rem: dict, rc: QLaurent, a: int, av) -> QLaurent:
-            try:
-                c = rc.shift(-sum(map(mul, av, lb))).exact_div(cg)
+            try:  # c = rc v^(-a . lb) / cg: shift cg, most often one term, not rc
+                c = rc.exact_div(cg.shift(sum(map(mul, av, lb))))
             except NotDivisibleError:
                 raise NotDivisibleError(
                     "leading coefficient not divisible in Z[q^(1/2), q^(-1/2)]"

@@ -116,6 +116,44 @@ def test_exact_div_failures():
         f.exact_div(QLaurent.zero())
 
 
+def _v_outcome(divide, *args):
+    """("ok", the quotient's terms keyed (e,), as RefLaurent(1)'s) or ("NotDivisibleError", message)."""
+    try:
+        q = divide(*args)
+    except NotDivisibleError as exc:
+        return "NotDivisibleError", str(exc)
+    return "ok", q if type(q) is dict else {(e,): c for e, c in q.items()}
+
+
+@pytest.mark.parametrize("n", [1, -1, 2, -2, 3, -3])
+def test_one_term_divisor_matches_oracle(n):
+    # dividing by n v^e takes one descending pass over f instead of the loop:
+    # the oracle's loop gives the same quotient, or the same message, which
+    # names the highest coefficient n does not divide, whatever the order f
+    # was built in
+    rng = random.Random(89 + n)
+    ref = RefLaurent(1)
+    failures = 0
+    for _ in range(150):
+        g = QLaurent.v_power(rng.randint(-5, 5), n)
+        h = QLaurent([(rng.randint(-8, 8), rng.randint(-20, 20)) for _ in range(rng.randint(0, 6))])
+        for f in (h * g, h, h * g + QLaurent.v_power(rng.randint(-9, 9), rng.randint(-5, 5))):
+            f = QLaurent(rng.sample(list(f.items()), len(f)))  # a random insertion order
+            want = _v_outcome(ref.exact_div, {(e,): c for e, c in f.items()}, {(e,): c for e, c in g.items()})
+            assert _v_outcome(QLaurent.exact_div, f, g) == want
+            if want[0] == "NotDivisibleError":
+                top = max(e for e, c in f.items() if c % n)
+                assert want[1] == f"leading coefficient {f.coefficient(top)} not divisible by {n}"
+                failures += 1
+    assert failures or abs(n) == 1
+    # two coefficients 2 does not divide: the message names the higher one
+    f = QLaurent([(-3, 5), (0, 4), (2, 3), (-1, 7)])
+    with pytest.raises(NotDivisibleError, match="^leading coefficient 3 not divisible by -2$"):
+        f.exact_div(QLaurent.v_power(4, -2))
+    assert QLaurent.zero().exact_div(QLaurent.v_power(3, -2)) == QLaurent.zero()
+    assert QLaurent.zero().exact_div(QLaurent.v_power(-1, n)) == QLaurent.zero()
+
+
 def test_exact_div_round_trip_random():
     rng = random.Random(11)
     for _ in range(300):

@@ -700,6 +700,61 @@ def test_packed_exponent_overflow_guard():
             divide(cls.monomial(ring, (0, -(2**29))), cls.monomial(ring, (0, 2**29 + 1)))
 
 
+def _two_terms(rng):
+    """A QLaurent of exactly two terms."""
+    e = rng.randint(-4, 4)
+    return QLaurent({e: rng.choice((-3, -1, 2, 5)), e + rng.randint(1, 5): rng.choice((-2, 1, 4))})
+
+
+def test_one_term_factor_is_a_shift(monkeypatch):
+    # c X^b with c = n v^e one term shifts the other operand's terms: on the
+    # right, on the left and squared, it matches the oracle and scans nothing
+    # for a Kronecker product.  A one-term factor whose coefficient has two
+    # terms takes the general product, and matches too.
+    scans = [0]
+
+    def scan(triples):
+        scans[0] += 1
+        return _v_scan(triples)
+
+    monkeypatch.setattr(qcluster.torus, "_v_scan", scan)
+    rng = random.Random(101)
+    for m in range(1, 5):
+        for _ in range(40):
+            lam = random_skew(rng, m, 3)
+            ref = RefLaurent(m, lam)
+            n = rng.choice((-3, -2, 2, 3))
+            one = TorusElement.monomial(lam, random_vector(rng, m, 3),
+                                        QLaurent.v_power(rng.randint(-6, 6), n))
+            other = TorusElement.zero(lam)
+            while len(other) < 2:
+                other += TorusElement.monomial(lam, random_vector(rng, m, 3), _two_terms(rng))
+            wide = TorusElement.monomial(lam, random_vector(rng, m, 3), _two_terms(rng))
+            for x, y, shift in ((one, other, True), (other, one, True), (one, one, True),
+                                (wide, other, False), (other, wide, False), (wide, wide, False),
+                                (one, wide, None), (wide, one, True)):
+                scans[0] = 0
+                assert _terms(x * y) == ref.mul(_terms(x), _terms(y))
+                assert shift is None or (scans[0] == 0) == shift
+            assert _terms(one**3) == ref.pow(_terms(one), 3)
+
+
+def test_scalar_mul_by_one_term_is_termwise():
+    # n v^s times an element shifts and scales each coefficient; it equals the
+    # oracle's coefficient products, as a scalar of several terms does
+    rng = random.Random(103)
+    for m in range(1, 5):
+        lam = random_skew(rng, m, 3)
+        for _ in range(30):
+            x = random_torus_element(rng, lam, terms=4)
+            s, n = rng.randint(-6, 6), rng.choice((-3, -2, -1, 1, 2, 3))
+            for c in (QLaurent.v_power(s, n), QLaurent.v_power(s, n) + QLaurent.v_power(s + 3)):
+                want = {a: RefLaurent._coeff_product(r, c, 0) for a, r in x.items()}
+                assert _terms(x.scalar_mul(c)) == want == _terms(c * x) == _terms(x * c)
+            assert x * n == x.scalar_mul(QLaurent.from_int(n)) == n * x
+            assert not x.scalar_mul(QLaurent.zero()) and not x * 0
+
+
 # -- the Kronecker product (v = 2^k) against the schoolbook oracle ---------
 
 
