@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii as _encode
 from typing import Mapping, Sequence
 
 from .errors import NotDivisibleError
-from .mutation import _file, mutate
+from .mutation import _Exchanges, mutate
 from .seeds import ClassicalSeed, QuantumSeed, dump_seed
 
 
@@ -181,9 +181,10 @@ def explore(
     bool), else ValueError.  With the default max_depth=32, a max_seeds
     larger than the number of seeds within depth 32 never binds; on a
     rank-2 infinite class that number is 2*32+1 = 65.  NotDivisibleError
-    from a mutation is re-raised with its path from the root set.  A
-    mutation divides only for a variable this call has not met, and builds
-    its numerator only for an exchange this call has not proved.
+    from a mutation is re-raised with its path from the root set.  Through
+    the call's exchange state (mutation._Exchanges), a mutation divides only
+    for a variable this call has not met, and builds its numerator only for
+    an exchange this call has not proved.
 
     Each edge is mutated once.  When expanding X in direction k yields Y
     with relabeling pi, the reverse edge (Y, pi[k], X) is recorded then
@@ -207,7 +208,7 @@ def explore(
             raise ValueError(f"{name} must be None or an int >= 0, got {cap!r}")
     inv, order, head, _, rkey = _canonical(root)
     nodes: dict[bytes, ClassicalSeed | QuantumSeed] = {rkey: root._relabeled(inv, order, head)}
-    known = _file({}, root.vars)
+    known = _Exchanges(root.vars)
     depths: dict[bytes, int] = {rkey: 0}
     parents: dict[bytes, tuple[bytes, int] | None] = {rkey: None}
     edges: set[tuple[bytes, int, bytes]] = set()
@@ -252,12 +253,8 @@ def _trace_path(
     parents: Mapping[bytes, tuple[bytes, int] | None], key: bytes
 ) -> tuple[int, ...]:
     path = []
-    cur = key
-    while True:
-        parent = parents[cur]
-        if parent is None:
-            break
-        cur, k = parent
+    while parents[key] is not None:
+        key, k = parents[key]
         path.append(k)
     return tuple(reversed(path))
 
@@ -338,8 +335,8 @@ def laurent_report(
 
     An empty sequence reports on the initial generators.  A division
     failure becomes a failing row and stops the walk; it is recorded,
-    not raised.  Like explore, it divides only for a variable this call
-    has not met.
+    not raised.  Like explore, it passes one exchange state to every
+    mutate, so it divides only for a variable this call has not met.
     """
     seed = root
     rows: list[LaurentRow] = []
@@ -347,7 +344,7 @@ def laurent_report(
         for i in range(seed.m):
             rows.append(_membership_row(0, i, None, seed.vars[i]))
         return LaurentReport(tuple(rows), True, seed)
-    known = _file({}, root.vars)
+    known = _Exchanges(root.vars)
     for step, k in enumerate(sequence, start=1):
         try:
             seed = mutate(seed, k, _known=known)

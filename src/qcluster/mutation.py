@@ -25,9 +25,9 @@ q-powers dies here instead of propagating.
 
 An exchange met again on the very same variable objects, exponents and
 v-shifts takes the quotient proved for it: N is fixed by them, variables
-are immutable (and held by the table, so no id is reused), and
-h * vars[k] == N already passed exactly on those objects.  Like the
-explorer's reverse edges, this reuses a checked identity.
+are immutable (and held by the proof's entry in the call's _Exchanges, so
+no id is reused), and h * vars[k] == N already passed exactly on those
+objects.  Like the explorer's reverse edges, this reuses a checked identity.
 """
 
 from __future__ import annotations
@@ -61,53 +61,64 @@ def _ends(v) -> tuple[int, ...]:
     return (max(t), min(t)) if t else ()
 
 
-def _file(known: dict, vars) -> dict:
-    """known with vars filed under their end keys, the first met first."""
-    for v in vars:
-        known.setdefault(_ends(v), []).append(v)
-    return known
+class _Exchanges:
+    """One call's exchange state, from the variables it starts with.
+
+    met files each variable met under its end keys, the first met first;
+    proved files each checked exchange under its id key, the entry holding
+    every object the key names, so that no id is reused while it lives.
+    """
+
+    def __init__(self, vars=()):
+        self.met: dict = {}
+        self.proved: dict = {}
+        self.meet(vars)
+
+    def meet(self, vars):
+        for v in vars:
+            self.met.setdefault(_ends(v), []).append(v)
 
 
-def _exchange(seed, k: int, monomials, numerator, ring: str, kind: str, known: dict | None) -> tuple:
+def _exchange(seed, k: int, monomials, numerator, ring: str, kind: str, known: _Exchanges | None) -> tuple:
     """seed.vars with vars[k] replaced by N / vars[k].
 
     monomials are N's terms as (g, v-shift) pairs, numerator() builds N and
-    returns its bound exact division, known is a table of variables (_file)
-    and proved exchanges (keyed by id; an entry holds the objects) or None.
-    A proved exchange is taken as it is.  Else keys add (key(a + b) = ka +
-    kb - base) in a monomial order of a domain, so the quotient's end keys
-    are N's less vars[k]'s plus base, and a variable filed there whose
-    product with vars[k] is N is it.  Else N is divided, a failure naming
-    the ring it left, and the quotient filed.  Either, once checked, is
-    filed as the exchange's proof.
+    returns its bound exact division, known is the call's _Exchanges or None
+    (a fresh one).  A proved exchange is taken as it is.  Else keys add
+    (key(a + b) = ka + kb - base) in a monomial order of a domain, so the
+    quotient's end keys are N's less vars[k]'s plus base, and a met variable
+    filed there whose product with vars[k] is N is it.  Else N is divided, a
+    failure naming the ring it left, and the quotient filed in met.  Either,
+    once checked, is filed as the exchange's proof.
     """
     old = seed.vars[k]
-    known = {} if known is None else known
+    known = _Exchanges() if known is None else known
     key = (id(old), *((s, *((id(v), e) for v, e in zip(seed.vars, g) if e)) for g, s in monomials))
-    if key not in known:
+    proof = known.proved.get(key)
+    if proof is None:
         divide = numerator()
         num = divide.__self__
         ends = tuple(n - o + num._packing().base for n, o in zip(_ends(num), _ends(old)))
 
         def quotients():
             if old:  # h * 0 == N says nothing of h: by zero, the division raises
-                yield from known.get(ends, ())
+                yield from known.met.get(ends, ())
             try:
                 new_var = divide(old)
             except NotDivisibleError as exc:
                 raise NotDivisibleError(
                     f"mutation at direction {k} left the {ring}: {exc}", seed=seed, direction=k
                 ) from None
-            _file(known, [new_var])  # a failed check raises, ending the call that owns known
+            known.meet([new_var])  # a failed check raises, ending the call that owns known
             yield new_var
             raise ClusterError(f"re-multiplication check failed after {kind} division")
 
         new_var = next(h for h in quotients() if h * old == num)  # a failing one is skipped
-        known[key] = (new_var, seed.vars)  # proved: new_var * old == N
-    return (*seed.vars[:k], known[key][0], *seed.vars[k + 1 :])
+        proof = known.proved[key] = (new_var, seed.vars)  # proved: new_var * old == N
+    return (*seed.vars[:k], proof[0], *seed.vars[k + 1 :])
 
 
-def classical_mutate(seed: ClassicalSeed, k: int, _known: dict | None = None) -> ClassicalSeed:
+def classical_mutate(seed: ClassicalSeed, k: int, _known: _Exchanges | None = None) -> ClassicalSeed:
     """Mutate a classical seed in direction k (a row index in ex)."""
     b = seed.b
     g_pos, g_neg = _exchange_exponents(b, k)
@@ -119,7 +130,7 @@ def classical_mutate(seed: ClassicalSeed, k: int, _known: dict | None = None) ->
     return ClassicalSeed(matrix_mutate(b, k), new_vars)
 
 
-def quantum_mutate(seed: QuantumSeed, k: int, _known: dict | None = None) -> QuantumSeed:
+def quantum_mutate(seed: QuantumSeed, k: int, _known: _Exchanges | None = None) -> QuantumSeed:
     """Mutate a quantum seed in direction k (a row index in ex)."""
     b, lam = seed.b, seed.lam
     gs = _exchange_exponents(b, k)
@@ -133,8 +144,8 @@ def quantum_mutate(seed: QuantumSeed, k: int, _known: dict | None = None) -> Qua
     return QuantumSeed(_frame_mutate(lam, k, gs[0]), matrix_mutate(b, k), new_vars, seed.d)
 
 
-def mutate(seed: ClassicalSeed | QuantumSeed, k: int, _known: dict | None = None):
-    """Dispatch to the classical or quantum exchange relation (_known: see _exchange)."""
+def mutate(seed: ClassicalSeed | QuantumSeed, k: int, _known: _Exchanges | None = None):
+    """Dispatch to the classical or quantum exchange relation (_known: an _Exchanges, see _exchange)."""
     if isinstance(seed, QuantumSeed):
         return quantum_mutate(seed, k, _known)
     return classical_mutate(seed, k, _known)
@@ -202,20 +213,12 @@ def verify_quantum_seed(seed: QuantumSeed) -> SeedVerification:
             compat_detail = f"pairing gives d={d}, seed stores d={seed.d}"
     except IncompatibleError as exc:
         compat_detail = str(exc)
-    qc_fail = None
-    m = seed.m
-    for i in range(m):
-        if qc_fail is not None:
-            break
-        for j in range(i + 1, m):
-            x, y = seed.vars[i], seed.vars[j]
-            # a zero variable quasi-commutes with nothing (quasi_commutation raises)
-            if not (x and y) or x.quasi_commutation(y) != seed.lam.entry(i, j):
-                qc_fail = (i, j)
-                break
-    bar_fail = None
-    for i in range(m):
-        if seed.vars[i].bar() != seed.vars[i]:
-            bar_fail = i
-            break
+    vars = seed.vars
+    pairs = ((i, j) for i in range(seed.m) for j in range(i + 1, seed.m))
+    # a zero variable quasi-commutes with nothing (quasi_commutation raises)
+    qc_fail = next((
+        (i, j) for i, j in pairs
+        if not (vars[i] and vars[j]) or vars[i].quasi_commutation(vars[j]) != seed.lam.entry(i, j)
+    ), None)
+    bar_fail = next((i for i, v in enumerate(vars) if v.bar() != v), None)
     return SeedVerification(compat_detail, qc_fail, bar_fail)

@@ -148,19 +148,19 @@ def captured_tables(monkeypatch) -> list:
     import qcluster.explorer
 
     tables: list = []
-    file = qcluster.explorer._file
+    exchanges = qcluster.explorer._Exchanges
 
-    def capturing(known, vars):
-        tables.append(known)
-        return file(known, vars)
+    def capturing(vars):
+        tables.append(exchanges(vars))
+        return tables[-1]
 
-    monkeypatch.setattr(qcluster.explorer, "_file", capturing)
+    monkeypatch.setattr(qcluster.explorer, "_Exchanges", capturing)
     return tables
 
 
-def proved(table: dict) -> list:
+def proved(table) -> list:
     """The proved exchanges filed in a table: (quotient, the objects keyed) pairs."""
-    return [entry for entry in table.values() if type(entry) is tuple]
+    return list(table.proved.values())
 
 
 def count_numerators(monkeypatch) -> list:
