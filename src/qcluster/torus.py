@@ -252,11 +252,13 @@ class _FramedLaurent(_SparseLaurent):
         ]
 
     @classmethod
-    def from_json(cls, frame, records: Iterable[Mapping]):
-        return cls(
-            frame,
-            [(tuple(r["exp"]), cls._coeff_from_json(r["coeff"])) for r in records],
-        )
+    def from_json(cls, frame, records: list[Mapping]):
+        """The element to_json wrote; ValueError unless a list of {"exp": list, "coeff": ...} objects."""
+        if type(records) is not list or not all(
+            isinstance(r, Mapping) and type(r.get("exp")) is list and "coeff" in r for r in records
+        ):
+            raise ValueError(f'{cls._NAME} JSON must be a list of objects with an "exp" list and a "coeff"')
+        return cls(frame, [(tuple(r["exp"]), cls._coeff_from_json(r["coeff"])) for r in records])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
@@ -280,8 +282,8 @@ class _FramedLaurent(_SparseLaurent):
 #     terms are known only then (TorusElement._collect).
 #
 # An image costs k bits per v-power it spans, so the cost is kept in
-# proportion to the terms, not to the span: a coefficient is cut into runs
-# whose consecutive exponents lie at most _GAP apart (_v_runs), and a sum
+# proportion to the terms, not to the span: a coefficient spanning at most
+# _GAP per term is one run, a wider one a run per term (_v_runs), and a sum
 # takes in a contribution only if the two lie at most _GAP digits apart
 # (_v_sum); one further away is decoded on its own, like any sum, and the
 # callers' _add_into adds the pieces of a key.  Every int then spans at most
@@ -343,21 +345,11 @@ def _v_cut(scan: list, k: int) -> list:
 
 
 def _v_runs(t: dict, k: int) -> list[tuple[int, int]]:
-    """[(lo, image at v = 2^k)] for the runs of t: exponent gaps of at most _GAP."""
+    """[(lo, image at v = 2^k)] for the runs of t: one if its span is short, else one per term."""
     lo = min(t)
     if max(t) - lo <= _GAP * (len(t) - 1):  # a span this short is one run
         return [(lo, sum(c << k * (e - lo) for e, c in t.items()))]
-    out: list = []
-    x = last = None
-    for e in sorted(t):
-        if x is None or e - last > _GAP:
-            if x is not None:
-                out.append((lo, x))
-            lo, x = e, 0
-        x += t[e] << k * (e - lo)
-        last = e
-    out.append((lo, x))
-    return out
+    return sorted(t.items())  # ascending: _v_sum merges a key's runs only while they arrive within reach
 
 
 def _v_width(bound: int) -> int:
@@ -707,13 +699,13 @@ class CommLaurent(_FramedLaurent):
 
     @staticmethod
     def _width(m: int) -> int:
-        if m < 1:
-            raise ValueError("need at least one variable")
+        if type(m) is not int or m < 1:  # a bool or float would reach _packing's struct format or range
+            raise ValueError(f"need at least one variable: m must be a positive int, got {m!r}")
         return m
 
     @classmethod
     def constant(cls, m: int, n: int) -> "CommLaurent":
-        return cls(m, {(0,) * m: n})
+        return cls(m, {(0,) * cls._width(m): n})
 
     def _pieces(self):
         return _signed_pieces(

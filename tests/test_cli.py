@@ -5,6 +5,8 @@ import copy
 import hashlib
 import json
 import random
+import runpy
+import sys
 
 import pytest
 
@@ -68,6 +70,16 @@ def test_check_classical(capsys, a2_file):
     assert code == 0 and err == ""
     data = json.loads(out)
     assert data == {"type": "classical", "ok": True, "d": [1, 1]}
+
+
+def test_module_run_as_a_script_exits_with_mains_code(capsys, monkeypatch, a2_file):
+    # python -m qcluster.cli passes main()'s return code to sys.exit
+    monkeypatch.setattr(sys, "argv", ["qcluster", "check", a2_file])
+    monkeypatch.delitem(sys.modules, "qcluster.cli")  # runpy warns when it is already imported
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("qcluster.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert json.loads(capsys.readouterr().out) == {"type": "classical", "ok": True, "d": [1, 1]}
 
 
 def test_check_quantum_ok(capsys, a2q_file):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import qcluster.seeds
 from qcluster import (
     ClassicalSeed,
     CommLaurent,
@@ -466,6 +467,14 @@ def test_principal_lambda_zero_b():
     )
 
 
+def test_principal_lambda_self_check_names_both_symmetrizers(monkeypatch):
+    # the frame is verified against [B; I] before it is returned; a
+    # construction that went wrong would be reported, not handed out
+    monkeypatch.setattr(qcluster.seeds, "check_compatibility", lambda ext, lam: (2, 2))
+    with pytest.raises(IncompatibleError, match=r"constructed frame yields d=\(2, 2\), expected \(1, 1\)"):
+        principal_lambda(A2_ROWS, None, [1, 1])
+
+
 def test_principal_lambda_validates_d():
     with pytest.raises(NotSymmetrizableError):
         principal_lambda([[0, 1], [-2, 0]], None, [1, 1])
@@ -647,6 +656,9 @@ NON_INT_SITES = {
     "QLaurent.coefficient": lambda x: QLaurent({1: 3}).coefficient(x),
     "CommLaurent.generator": lambda x: CommLaurent.generator(2, x),
     "TorusElement.generator": lambda x: TorusElement.generator(L2, x),
+    "CommLaurent width": lambda x: CommLaurent(x),
+    "CommLaurent.generator width": lambda x: CommLaurent.generator(x, 0),
+    "CommLaurent.constant width": lambda x: CommLaurent.constant(x, 3),
 }
 
 
@@ -655,9 +667,11 @@ NON_INT_SITES = {
 def test_directions_and_powers_reject_bool_and_float(where, bad):
     # True and 1.0 equal 1, so tuple.index, isinstance(n, int) and list
     # indexing let them through (1.0 fails inside the list), and 2 * True
-    # is an int
+    # is an int; a bool width would reach _packing's struct format and a
+    # float one range()
     NON_INT_SITES[where](1)
-    match = "is not exchangeable|nonnegative integer powers|must be an integer|generator index"
+    match = ("is not exchangeable|nonnegative integer powers|must be an integer|generator index"
+             "|m must be a positive int")
     with pytest.raises(ValueError, match=match):
         NON_INT_SITES[where](bad)
 
@@ -685,6 +699,25 @@ def test_json_readers_reject_non_integers(where, bad):
     build, error, message = JSON_SITES[where]
     with pytest.raises(error, match=message):
         build(bad)
+
+
+JSON_RECORDS = {
+    "a record not an object": [5],
+    "a record with no exp": [{"coeff": "1"}],
+    "an exp not a list": [{"exp": 5, "coeff": "1"}],
+    "a record with no coeff": [{"exp": [0, 0]}],
+    "a dict in place of the list": {"exp": [0, 0], "coeff": "1"},
+}
+
+
+@pytest.mark.parametrize("records", JSON_RECORDS.values(), ids=list(JSON_RECORDS))
+@pytest.mark.parametrize("ring", ["CommLaurent", "TorusElement"])
+def test_json_readers_reject_malformed_records(ring, records):
+    # a malformed export is a ValueError, not a KeyError or TypeError
+    # from indexing it; the coefficient sites above keep their own errors
+    read = CommLaurent.from_json if ring == "CommLaurent" else TorusElement.from_json
+    with pytest.raises(ValueError, match='list of objects with an "exp" list and a "coeff"'):
+        read(2 if ring == "CommLaurent" else L2, records)
 
 
 @pytest.mark.parametrize("good", [-12, 0, 7, "-12", "0", "7", str(10**40)], ids=repr)

@@ -535,6 +535,14 @@ def test_reflected_operators_and_the_empty_ring():
         CommLaurent.zero(2).min_exponents()
 
 
+def test_repr_names_the_class_around_the_text():
+    f = TorusElement(L2, {(1, 0): QLaurent({1: 2}), (0, 0): 1})
+    assert repr(f) == f"TorusElement({f})" == "TorusElement(1 + 2*q^{1/2}*X^(1,0))"
+    p = CommLaurent(2, {(-1, 0): 1, (0, 2): -3})
+    assert repr(p) == "CommLaurent(x1^-1 - 3*x2^2)"
+    assert repr(CommLaurent.zero(1)) == "CommLaurent(0)"
+
+
 def test_bool_is_no_constant():
     # True equals 1, but like a bool exponent or power it is refused
     for x in (QLaurent.one(), CommLaurent.one(2), TorusElement.one(L2)):
@@ -882,12 +890,15 @@ def test_kronecker_far_contributions_that_cancel():
 
 
 def test_v_runs_cut_at_wide_gaps():
-    # exponents at most _GAP apart share one image; a wider gap starts a run
+    # a span of at most _GAP per term gap is one image, even where one gap
+    # is wider; a wider span is a run per term, in ascending exponent order
     dense = {e: e + 1 for e in range(0, 5 * _GAP, _GAP)}
     assert _v_runs(dense, 8) == [(0, sum(c << 8 * e for e, c in dense.items()))]
-    sparse = {-3: 2, -3 + _GAP: -1, 10**18: 5, 10**18 + 1: 7, 10**18 + 1 + _GAP: 1}
-    assert _v_runs(sparse, 16) == [(-3, 2 - (1 << 16 * _GAP)),
-                                   (10**18, 5 + (7 << 16) + (1 << 16 * (_GAP + 1)))]
+    uneven = {2 * _GAP: 3, 0: 1, 1: -2}
+    assert _v_runs(uneven, 8) == [(0, 1 - (2 << 8) + (3 << 8 * 2 * _GAP))]
+    sparse = {10**18 + 1 + _GAP: 1, -3: 2, 10**18 + 1: 7, -3 + _GAP: -1, 10**18: 5}
+    assert _v_runs(sparse, 16) == [(-3, 2), (-3 + _GAP, -1), (10**18, 5),
+                                   (10**18 + 1, 7), (10**18 + 1 + _GAP, 1)]
     assert _v_runs({10**18: 4, -(10**18): 9}, 8) == [(-(10**18), 9), (10**18, 4)]
 
 
