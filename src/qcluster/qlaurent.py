@@ -22,7 +22,8 @@ from __future__ import annotations
 import re
 import struct
 from functools import cache, reduce
-from operator import gt, le, or_, sub
+from heapq import heapify, heappop, heappush
+from operator import gt, or_, sub
 from typing import Iterable, Mapping
 
 from .errors import NotDivisibleError
@@ -55,10 +56,10 @@ class _Packing:
     bit set, so `key & top` detects overflow; nothing wraps silently.
     """
 
-    __slots__ = ("m", "base", "top", "_shift", "_low", "_struct")
+    __slots__ = ("m", "base", "top", "_ones", "_shift", "_low", "_struct")
 
     def __init__(self, m: int):
-        ones = sum(1 << (_W * i) for i in range(m))
+        self._ones = ones = sum(1 << (_W * i) for i in range(m))
         self.m, self.base, self.top = m, _OFF * ones, (1 << (_W - 1)) * ones
         self._shift, self._low = _W * m, (1 << (_W * m)) - 1
         self._struct = struct.Struct(f">{m}i")
@@ -69,8 +70,11 @@ class _Packing:
             raise ValueError(f"exponent {exp} has length {len(exp)}, expected {self.m}")
         if exp and (min(exp) < -_OFF or max(exp) >= _OFF):
             raise OverflowError(f"exponent {exp} leaves {_RANGE}")
-        fields = int.from_bytes(self._struct.pack(*exp), "big") ^ self.top
-        return (sum(exp) << self._shift) + fields - self.base
+        return (sum(exp) << self._shift) + self._fields(exp)
+
+    def _fields(self, exp) -> int:
+        """The sum of the fields a_i + OFF, with no degree part, for ints a_i in [-2 OFF, 2 OFF)."""
+        return (int.from_bytes(self._struct.pack(*exp), "big") ^ self.top) - self.base
 
     def unpack(self, key: int) -> tuple[int, ...]:
         fields = ((key + self.base) & self._low) ^ self.top
@@ -81,10 +85,28 @@ class _Packing:
         columns = list(zip(*map(self.unpack, keys)))
         return list(map(min, columns)), list(map(max, columns))
 
-    def within(self, key: int, lo: list[int], hi: list[int]):
-        """unpack(key) if lo <= unpack(key) <= hi componentwise, else None."""
-        a = self.unpack(key)
-        return a if all(map(le, lo, a)) and all(map(le, a, hi)) else None
+    def inside(self, lo: list[int], hi: list[int]):
+        """The test lo <= unpack(key) <= hi componentwise, for lo <= hi and a key with no top bit set.
+
+        The test reads the packed fields without unpacking.  Field i of
+        x = key | top is a_i + OFF + 2^(W-1); less the field l + OFF of a
+        bound l in [-OFF, OFF] it is a_i - l + 2^(W-1), which lies in
+        [0, 2^W), so no field borrows from the next, and its top bit is
+        set iff a_i >= l.  The test takes l = lo_i for a_i >= lo_i, and
+        l = hi_i + 1, whose top bit must be clear, for a_i <= hi_i.  A
+        bound outside [-OFF, OFF] is clamped to it, which changes no
+        answer, since every a_i lies in [-OFF, OFF).
+        """
+        if min(lo) < -_OFF or max(hi) >= _OFF:  # as lo <= hi, every bound is in range otherwise
+            lo = [min(max(x, -_OFF), _OFF) for x in lo]
+            hi = [min(max(x, -_OFF - 1), _OFF - 1) for x in hi]
+        low, high, top = self._fields(lo), self._fields(hi) + self._ones, self.top
+
+        def inside(key: int) -> bool:
+            x = key | top
+            return (x - low) & top == top and not (x - high) & top
+
+        return inside
 
 
 _packing = cache(_Packing)
@@ -105,9 +127,10 @@ class _VExponents:
         return [min(keys)], [max(keys)]
 
     @staticmethod
-    def within(key: int, lo: list[int], hi: list[int]):
-        """key if lo <= key <= hi, else None: the test is on the key itself."""
-        return key if lo[0] <= key <= hi[0] else None
+    def inside(lo: list[int], hi: list[int]):
+        """The test lo <= key <= hi: on the key itself."""
+        (lo,), (hi,) = lo, hi
+        return lambda key: lo <= key <= hi
 
 
 def _add_into(acc: dict, items) -> dict:
@@ -209,17 +232,26 @@ def _int_quotient(rc: int, cg: int) -> int:
 def _int_division_step(g: dict, b: int, packing):
     """The step of exact division by g, whose leading term is g[b] X^b.
 
-    step(rem, rc, a, av) returns c = rc / g[b] (or raises
-    NotDivisibleError) and subtracts (c X^a) * (g - g[b] X^b) from rem;
-    the leading product cancels rc X^{a+b}, which the loop has popped.
+    step(rem, heap, rc, a) returns c = rc / g[b] (or raises
+    NotDivisibleError) and subtracts (c X^a) * (g - g[b] X^b) from rem,
+    pushing each key it adds to rem onto heap, negated; a coefficient
+    that cancels to 0 stays in rem for the loop to skip.  The leading
+    product cancels rc X^{a+b}, which the loop has popped.
     """
-    cg = g[b]
-    rest = dict(g)
-    del rest[b]
+    cg, base = g[b], packing.base
+    rest = [(j - base, -y) for j, y in g.items() if j != b]  # X^a X^j is keyed a + j - base
 
-    def step(rem: dict, rc: int, a: int, av) -> int:
+    def step(rem: dict, heap: list, rc: int, a: int) -> int:
         c = _int_quotient(rc, cg)
-        _int_mul_into(rem, {a: -c}, rest, packing)
+        get = rem.get
+        for j, y in rest:
+            k = a + j
+            s = get(k)
+            if s is None:
+                rem[k] = c * y
+                heappush(heap, -k)
+            else:
+                rem[k] = s + c * y
         return c
 
     return step
@@ -246,9 +278,10 @@ class _SparseLaurent:
     - _scalar(value), the coefficient that value is, else None;
     - _mul_into(acc, left, right, packing), the product kernel;
     - _division_step(g, b, packing), built once per division by g with
-      leading term g[b] X^b: its step divides the leading coefficients
-      and subtracts the quotient term times the rest of g from the
-      remainder, at once (integers) or filed per product monomial;
+      leading term g[b] X^b: its step(rem, heap, rc, a) divides the
+      leading coefficients and subtracts the quotient term times the
+      rest of g from the remainder rem, at once (integers) or filed per
+      product monomial, pushing each monomial it adds to rem onto heap;
     and adds _collect(entry), the coefficient of the products its step
     filed as a list under one remainder monomial, or None if they cancel;
     any other remainder entry is its own coefficient.  Division is
@@ -358,15 +391,19 @@ class _SparseLaurent:
         """h with h * g == self, else NotDivisibleError.
 
         Greedy cancellation of the leading term (graded-lex; plain
-        exponent order for QLaurent).  Each turn pops the top monomial t
-        of the remainder.  Its entry is its coefficient, or the list of
-        products a torus step filed under t, summed by _collect; t is
-        skipped if they cancel.  Otherwise the step
+        exponent order for QLaurent).  The remainder's keys are kept,
+        negated, in a heap, one entry per key: the loop's and each step's
+        pushes.  Each turn pops the top monomial t of the remainder.  Its
+        entry is its coefficient, or the list of products a torus step
+        filed under t, summed by _collect; t is skipped if they cancel,
+        or if its integer coefficient cancelled to 0 and stayed in the
+        remainder (so a later step may add to it).  Otherwise the step
         finds the quotient term c X^a with a = t - b, whose product with
         the leading term g[b] X^b cancels the popped term, and subtracts
         c X^a times the rest of g.  Every quotient exponent lies in the
         box [min f - min g, max f - max g], taken componentwise over the
-        supports, so the loop stops as soon as one would leave it.
+        supports, so the loop stops as soon as one would leave it
+        (packing.inside tests the packed key).
         Inside the box, every product exponent lies in the support box
         of f, so the subtraction cannot overflow.
         A QLaurent divisor n v^e has no rest, so its turns are one descending
@@ -394,25 +431,27 @@ class _SparseLaurent:
         lo, hi = list(map(sub, f_lo, g_lo)), list(map(sub, f_hi, g_hi))
         if any(map(gt, lo, hi)):
             raise NotDivisibleError("divisor support exceeds dividend support")
-        within = packing.within
+        inside = packing.inside(lo, hi)
         b = max(g)
         shift = packing.base - b
         step = self._division_step(g, b, packing)
         rem = dict(f)
+        heap = [-t for t in f]  # one entry per key of rem, so the top is -heap[0]
+        heapify(heap)
         quot: dict = {}
         while rem:
-            t = max(rem)
+            t = -heappop(heap)
             rc = rem.pop(t)
-            if type(rc) is list and not (rc := self._collect(rc)):  # the products cancel
+            # a coefficient that cancelled, or filed products that cancel
+            if not rc or type(rc) is list and not (rc := self._collect(rc)):
                 continue
             a = t + shift
             if a & top:
                 raise OverflowError(f"quotient exponent leaves {_RANGE}")
-            av = within(a, lo, hi)
-            if av is None:
+            if not inside(a):
                 raise NotDivisibleError("leading term of remainder is not reducible")
             # subtract (c X^a) * (g - g[b] X^b) from the remainder
-            quot[a] = step(rem, rc, a, av)
+            quot[a] = step(rem, heap, rc, a)
         return self._raw(frame, quot)
 
     # -- comparison / serialization ------------------------------------

@@ -28,6 +28,7 @@ All values are immutable; all operations are pure.
 from __future__ import annotations
 
 import struct
+from heapq import heappush
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -476,6 +477,8 @@ class TorusElement(_FramedLaurent):
 
     @staticmethod
     def _width(lam: SkewMatrix) -> int:
+        if not isinstance(lam, SkewMatrix):  # a row list or an int has no m to read
+            raise ValueError(f"the frame must be a SkewMatrix, got {lam!r}")
         return lam.m
 
     @property
@@ -577,20 +580,23 @@ class TorusElement(_FramedLaurent):
     def _division_step(self, g: dict, b: int, packing: _Packing):
         """The step of exact division by g, whose leading term is g[b] X^b.
 
-        step(rem, rc, a, av) returns the c with (c X^a) * (g[b] X^b) ==
+        step(rem, heap, rc, a) returns the c with (c X^a) * (g[b] X^b) ==
         rc X^{a+b}, or raises NotDivisibleError.  Rather than subtract
         (c X^a) * g at once, it files the pair of each non-leading term of
         g and -c X^a under their product monomial in rem, for _collect to
         sum when that monomial reaches the top; the leading product would
         cancel rc X^{a+b}, which the loop has popped, so it is never formed.
-        The divisor is scanned and twisted once per division, term by term.
+        A monomial that opens a new list is pushed onto heap, negated.
+        The divisor is scanned and twisted once per division, term by term,
+        and a unpacked once per step, for the twist.
         """
         unpack, base, image = packing.unpack, packing.base, self._frame.image
         cg, lb = g[b], image(unpack(b))  # Lambda(a, b) = a . lb
         rest = [(j - base, _v_scan([(j - base, (), c)]), image(unpack(j)))
                 for j, c in g.items() if j != b]
 
-        def step(rem: dict, rc: QLaurent, a: int, av) -> QLaurent:
+        def step(rem: dict, heap: list, rc: QLaurent, a: int) -> QLaurent:
+            av = unpack(a)
             try:  # c = rc v^(-a . lb) / cg: shift cg, most often one term, not rc
                 c = rc.exact_div(cg.shift(sum(map(mul, av, lb))))
             except NotDivisibleError:
@@ -603,6 +609,7 @@ class TorusElement(_FramedLaurent):
                 entry = rem.get(key)
                 if entry is None:
                     rem[key] = [(y, ly, x)]
+                    heappush(heap, -key)
                 elif type(entry) is list:
                     entry.append((y, ly, x))
                 else:  # a coefficient of the dividend

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -674,6 +675,26 @@ def test_directions_and_powers_reject_bool_and_float(where, bad):
              "|m must be a positive int")
     with pytest.raises(ValueError, match=match):
         NON_INT_SITES[where](bad)
+
+
+FRAME_SITES = {
+    "TorusElement": lambda lam: TorusElement(lam),
+    "TorusElement.zero": lambda lam: TorusElement.zero(lam),
+    "TorusElement.one": lambda lam: TorusElement.one(lam),
+    "TorusElement.generator": lambda lam: TorusElement.generator(lam, 0),
+    "TorusElement.monomial": lambda lam: TorusElement.monomial(lam, (1, 0)),
+    "TorusElement.from_json": lambda lam: TorusElement.from_json(lam, []),
+}
+
+
+@pytest.mark.parametrize("frame", [[[0, 1], [-1, 0]], ((0, 1), (-1, 0)), 2, None], ids=repr)
+@pytest.mark.parametrize("where", sorted(FRAME_SITES))
+def test_torus_frame_must_be_a_skew_matrix(where, frame):
+    # rows or an int have no m to read: the frame is named, as a bad
+    # CommLaurent width is, not reported as a missing attribute
+    FRAME_SITES[where](L2)
+    with pytest.raises(ValueError, match=re.escape(f"the frame must be a SkewMatrix, got {frame!r}")):
+        FRAME_SITES[where](frame)
 
 JSON_SITES = {
     "CommLaurent coeff": (

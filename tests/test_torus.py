@@ -708,6 +708,195 @@ def test_packed_exponent_overflow_guard():
             divide(cls.monomial(ring, (0, -(2**29))), cls.monomial(ring, (0, 2**29 + 1)))
 
 
+# -- the integer division: its heap, packed box test and clamped bounds ---------
+
+
+def _int_ring(rng):
+    """A random integer ring, CommLaurent or QLaurent: (divide, build, terms, RefLaurent)."""
+    if rng.random() < 0.25:
+        def build():
+            return QLaurent([(rng.randint(-4, 4), rng.randint(-3, 3)) for _ in range(rng.randint(2, 5))])
+
+        return QLaurent.exact_div, build, _v_terms, RefLaurent(1)
+    m = rng.randint(1, 3)
+
+    def build():
+        return CommLaurent(m, [(random_vector(rng, m, 2), rng.randint(-3, 3))
+                               for _ in range(rng.randint(2, 5))])
+
+    return CommLaurent.exact_div, build, _terms, RefLaurent(m)
+
+
+@pytest.fixture
+def lead_steps(monkeypatch):
+    """steps(outcome, *args): (outcome(*args), how many leading coefficients it divided).
+
+    The kernel's _int_quotient and RefLaurent._lead_quotient are counted,
+    so a division ending as the oracle's, after as many quotient terms,
+    gives the same pair; for the torus, while each leading coefficient
+    of the remainder has one term.  A _lead_quotient counts once, with
+    the _int_quotient calls of its own coefficient division.
+    """
+    calls = [0]
+    int_quotient, lead_quotient = qcluster.qlaurent._int_quotient, RefLaurent._lead_quotient
+
+    def counted(*args):
+        calls[0] += 1
+        return int_quotient(*args)
+
+    def counted_once(*args):
+        n = calls[0]
+        try:
+            return lead_quotient(*args)
+        finally:
+            calls[0] = n + 1
+
+    def steps(outcome, *args):
+        calls[0] = 0
+        return outcome(*args), calls[0]
+
+    monkeypatch.setattr(qcluster.qlaurent, "_int_quotient", counted)
+    monkeypatch.setattr(RefLaurent, "_lead_quotient", counted_once)
+    return steps
+
+
+def test_int_division_revives_a_cancelled_remainder_key(monkeypatch):
+    # A coefficient that cancels to 0 stays in the remainder, with its one
+    # heap entry, until the loop pops it and skips it; a later step may add
+    # to it first, and the key then needs no second entry.  Every step
+    # keeps one heap entry per remainder key, and every quotient matches
+    # the oracle's.
+    original = qcluster.qlaurent._int_division_step
+    revived, skipped = [], []
+
+    def division_step(g, b, packing):
+        step = original(g, b, packing)
+
+        def watched(rem, heap, rc, a):
+            zeros = [k for k, c in rem.items() if c == 0]
+            c = step(rem, heap, rc, a)
+            revived.extend(k for k in zeros if rem[k])
+            skipped.extend(k for k in zeros if not rem[k])
+            assert sorted(-k for k in heap) == sorted(rem)
+            return c
+
+        return watched
+
+    for cls in (CommLaurent, QLaurent):
+        monkeypatch.setattr(cls, "_division_step", staticmethod(division_step))
+    # dividing by g = X^3 + X^2 + X + 1 with h = 2 X^3 + 5 X^2 + X - 1, the
+    # step for 5 X^2 leaves the remainder's X^3 and X^2 at 0, the step for
+    # X revives both, and the step for -1 cancels them for good
+    g, h = {3: 1, 2: 1, 1: 1, 0: 1}, {3: 2, 2: 5, 1: 1, 0: -1}
+    cases = [(QLaurent.exact_div, QLaurent(h), QLaurent(g), _v_terms, RefLaurent(1))]
+    g, h = ({(e,): c for e, c in x.items()} for x in (g, h))
+    cases.append((CommLaurent.exact_div, CommLaurent(1, h), CommLaurent(1, g), _terms, RefLaurent(1)))
+    rng = random.Random(101)
+    for _ in range(300):
+        divide, build, terms, ref = _int_ring(rng)
+        cases.append((divide, build(), build(), terms, ref))
+    for i, (divide, h, g, terms, ref) in enumerate(cases):
+        if not g:
+            continue
+        f = h * g
+        assert terms(divide(f, g)) == ref.exact_div(terms(f), terms(g)) == terms(h)
+        if i < 2:  # each crafted case revives its X^3 and X^2
+            assert len(revived) == 2 * (i + 1)
+    assert skipped
+
+
+def test_int_division_fails_like_the_oracle_after_as_many_terms(lead_steps):
+    # A dividend that is not a multiple raises the oracle's type and
+    # message after as many quotient terms.
+    rng = random.Random(103)
+    failures = set()
+    for _ in range(300):
+        divide, build, terms, ref = _int_ring(rng)
+        h, g = build(), build()
+        if not g:
+            continue
+        for f in (h * g + build(), h * g + 1, h, g + 1):
+            got = lead_steps(_div_outcome, divide, f, g, terms)
+            assert got == lead_steps(_ref_div_outcome, ref, terms(f), terms(g), True)
+            if got[0][0] == "NotDivisibleError":
+                failures.add((re.sub(r"-?[0-9]+", "N", got[0][1]), got[1] > 1))
+    # both in-loop failures also come after quotient terms were found
+    assert failures >= {
+        ("divisor support exceeds dividend support", False),
+        ("leading term of remainder is not reducible", True),
+        ("leading coefficient N not divisible by N", True),
+    }
+
+
+def test_packed_box_test_matches_the_unpacked_comparison():
+    # inside(lo, hi) tests lo <= a <= hi on packed fields for lo <= hi.
+    # Every a lies in [-2^30, 2^30); bounds may lie far outside, where
+    # they are clamped into range: the answer must stay the comparison's.
+    limit = 2**30
+    near = (-limit, -limit + 1, -1, 0, 1, limit - 2, limit - 1)
+    bounds = near + (-(2**40), -(2**31) + 1, -limit - 2, -limit - 1, limit, limit + 1, 2**31 - 1, 2**40)
+
+    def check(packing, a, lo, hi):
+        want = all(l <= x <= h for x, l, h in zip(a, lo, hi))
+        assert packing.inside(lo, hi)(packing.pack(a)) == want, (a, lo, hi)
+
+    one = qcluster.qlaurent._packing(1)
+    for (x,), l, h in itertools.product(itertools.product(near), bounds, bounds):
+        if l <= h:
+            check(one, (x,), [l], [h])
+    rng = random.Random(107)
+    for m in (2, 3, 5):
+        packing = qcluster.qlaurent._packing(m)
+        for _ in range(2000):
+            a = tuple(rng.choice(near) for _ in range(m))
+            # each bound beside its coordinate or anywhere, in order
+            pairs = [sorted((x + rng.choice((-1, 0, 1)) if rng.random() < 0.5 else rng.choice(bounds),
+                             rng.choice(bounds))) for x in a]
+            check(packing, a, [l for l, _ in pairs], [h for _, h in pairs])
+
+
+def test_division_boxes_beyond_the_packed_range(lead_steps):
+    # The quotient box [min f - min g, max f - max g] can leave the packed
+    # range only when f is not a multiple of g; the division must then fail
+    # as the oracle does, at the same step, never in packing the box.  The
+    # last two cases have a quotient exponent at an end of the range beside
+    # a box wholly past it, which a bound clamped to that end would let
+    # through, to fail one step later.
+    limit = 2**30
+    cases = [
+        # lo < -2^30: the leading coefficient fails first
+        ({(-limit, 0): 1, (3, 0): 3}, {(5, 0): 2, (4, 0): 1}, 1, "leading coefficient"),
+        # lo = hi = 2^30 in coordinate 1, and a = (0, 2^30 - 1)
+        ({(limit - 1, 9): 1, (0, 0): 1, (0, 10): 1},
+         {(limit - 1, 10 - limit): 1, (0, -limit): 1}, 0, "not reducible"),
+        # lo = hi = -2^30 - 1 in coordinate 1, and a = (20, -2^30)
+        ({(20, -11): 1, (0, -12): 1, (0, -2): 1},
+         {(0, limit - 11): 1, (-20, limit - 1): 1}, 0, "not reducible"),
+    ]
+    for f, g, calls, message in cases:
+        for ring in (2, L2):
+            cls = CommLaurent if ring == 2 else TorusElement
+            ref = RefLaurent(2, None if ring == 2 else L2)
+            if ring == L2:
+                f = {e: QLaurent.from_int(c) for e, c in f.items()}
+                g = {e: QLaurent.from_int(c) for e, c in g.items()}
+            divide = cls.exact_div if ring == 2 else cls.exact_div_right
+            got = lead_steps(_div_outcome, divide, cls(ring, f), cls(ring, g), _terms)
+            assert got == lead_steps(_ref_div_outcome, ref, f, g, True)
+            assert got[0][0] == "NotDivisibleError" and message in got[0][1] and got[1] == calls
+    # a quotient with exponents at both ends of the range, in a box that
+    # reaches them, divides exactly; one more term past either end fails
+    edge = {(limit - 1, -limit, 0): 1, (-limit, limit - 1, 1): -2, (0, 0, -1): 3}
+    g = {(0, 0, 1): 1, (0, 0, 0): 3, (0, 0, -2): -1}
+    h, y = CommLaurent(3, edge), CommLaurent(3, g)
+    ref = RefLaurent(3)
+    assert (h * y).exact_div(y) == h
+    for e in ((limit - 1, -limit, 5), (-limit, limit - 1, -9), (limit - 1, 0, 0)):
+        f = h * y + CommLaurent.monomial(3, e, 7)
+        got = _div_outcome(CommLaurent.exact_div, f, y, _terms)
+        assert got == _ref_div_outcome(ref, _terms(f), g, True)
+
+
 def _two_terms(rng):
     """A QLaurent of exactly two terms."""
     e = rng.randint(-4, 4)
