@@ -106,6 +106,13 @@ def _parse_sequence(text: str) -> list[int]:
     return [k - 1 for k in ks]
 
 
+def _cap(flag: str, value) -> int | None:
+    """An explore cap read by from_decimal's rule, as --at is; negative = unlimited (None)."""
+    if type(n := from_decimal(value)) is not int:
+        raise ValueError(f"{flag} expects an integer, got {value!r}")
+    return None if n < 0 else n
+
+
 def _cmd_check(args) -> int:
     seed = load_seed(_load_input(args.input))
     if isinstance(seed, QuantumSeed):
@@ -147,8 +154,7 @@ def _cmd_mutate(args) -> int:
 
 def _cmd_explore(args) -> int:
     seed = load_seed(_load_input(args.input))
-    max_seeds = None if args.max_seeds < 0 else args.max_seeds
-    max_depth = None if args.max_depth < 0 else args.max_depth
+    max_seeds, max_depth = _cap("--max-seeds", args.max_seeds), _cap("--max-depth", args.max_depth)
     graph = explore(seed, max_seeds=max_seeds, max_depth=max_depth)
     if args.format == "dot":
         sys.stdout.write(export_dot(graph))
@@ -193,7 +199,7 @@ def _cmd_principal(args) -> int:
 
 _SEED, _JSON_TEXT = "seed JSON file", ["json", "text"]
 _FULL = {"action": "store_true", "help": "include variables in output"}
-_UNLIMITED = {"type": int, "help": "negative = unlimited"}
+_UNLIMITED = {"help": "negative = unlimited"}  # read by _cap, not by argparse
 
 # (verb, handler, help, input help, the verb's own options, --format choices)
 _VERBS = (

@@ -24,17 +24,18 @@ variable is re-checked exactly against N; any bookkeeping error in the
 q-powers dies here instead of propagating.
 
 An exchange met again on the very same variable objects, exponents and
-v-shifts takes the quotient proved for it: N is fixed by them, variables
-are immutable (and held by the proof's entry in the call's _Exchanges, so
-no id is reused), and h * vars[k] == N already passed exactly on those
-objects.  Like the explorer's reverse edges, this reuses a checked identity.
+v-shifts takes the quotient proved for it: N is built from exactly the
+(g, v-shift) pairs its key names, variables are immutable (and held by the
+proof's entry in the call's _Exchanges, so no id is reused), and
+h * vars[k] == N already passed exactly on those objects.  Like the
+explorer's reverse edges, this reuses a checked identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import mul
+from operator import add, mul
 
 from .errors import ClusterError, IncompatibleError, NotDivisibleError
 from .qlaurent import QLaurent
@@ -47,12 +48,13 @@ from .seeds import (
     lambda_mutate,  # unused here; perfbench/tracing.py wraps it under this name
     matrix_mutate,
 )
-from .torus import reorder_weight
+from .torus import CommLaurent, TorusElement, reorder_weight
 
 
-def _ordered_product(vars, g):
-    """vars[0] ** g[0] * ... * vars[m-1] ** g[m-1], left to right; 1 for g = 0."""
-    return reduce(mul, [v ** gi for v, gi in zip(vars, g) if gi] or [vars[0] ** 0])
+def _ordered_product(vars, g, s=0):
+    """v^s * vars[0] ** g[0] * ... * vars[m-1] ** g[m-1], left to right; v^s for g = 0."""
+    product = reduce(mul, [v ** gi for v, gi in zip(vars, g) if gi] or [vars[0] ** 0])
+    return product.scalar_mul(QLaurent.v_power(s)) if s else product
 
 
 def _ends(v) -> tuple[int, ...]:
@@ -79,32 +81,32 @@ class _Exchanges:
             self.met.setdefault(_ends(v), []).append(v)
 
 
-def _exchange(seed, k: int, monomials, numerator, ring: str, kind: str, known: _Exchanges | None) -> tuple:
+def _exchange(seed, k: int, monomials, divide, ring: str, kind: str, known: _Exchanges | None) -> tuple:
     """seed.vars with vars[k] replaced by N / vars[k].
 
-    monomials are N's terms as (g, v-shift) pairs, numerator() builds N and
-    returns its bound exact division, known is the call's _Exchanges or None
-    (a fresh one).  A proved exchange is taken as it is.  Else keys add
-    (key(a + b) = ka + kb - base) in a monomial order of a domain, so the
-    quotient's end keys are N's less vars[k]'s plus base, and a met variable
-    filed there whose product with vars[k] is N is it.  Else N is divided, a
-    failure naming the ring it left, and the quotient filed in met.  Either,
-    once checked, is filed as the exchange's proof.
+    monomials are N's terms as (g, v-shift) pairs: the proof key names them,
+    and N is built from them alone.  divide(N, vars[k]) is the ring's exact
+    division, known the call's _Exchanges or None (a fresh one).  A proved
+    exchange is taken as it is.  Else keys add (key(a + b) = ka + kb - base)
+    in a monomial order of a domain, so the quotient's end keys are N's less
+    vars[k]'s plus base, and a met variable filed there whose product with
+    vars[k] is N is it.  Else N is divided, a failure naming the ring it
+    left, and the quotient filed in met.  Either, once checked, is filed as
+    the exchange's proof.
     """
     old = seed.vars[k]
     known = _Exchanges() if known is None else known
     key = (id(old), *((s, *((id(v), e) for v, e in zip(seed.vars, g) if e)) for g, s in monomials))
     proof = known.proved.get(key)
     if proof is None:
-        divide = numerator()
-        num = divide.__self__
+        num = reduce(add, [_ordered_product(seed.vars, g, s) for g, s in monomials])
         ends = tuple(n - o + num._packing().base for n, o in zip(_ends(num), _ends(old)))
 
         def quotients():
             if old:  # h * 0 == N says nothing of h: by zero, the division raises
                 yield from known.met.get(ends, ())
             try:
-                new_var = divide(old)
+                new_var = divide(num, old)
             except NotDivisibleError as exc:
                 raise NotDivisibleError(
                     f"mutation at direction {k} left the {ring}: {exc}", seed=seed, direction=k
@@ -120,14 +122,9 @@ def _exchange(seed, k: int, monomials, numerator, ring: str, kind: str, known: _
 
 def classical_mutate(seed: ClassicalSeed, k: int, _known: _Exchanges | None = None) -> ClassicalSeed:
     """Mutate a classical seed in direction k (a row index in ex)."""
-    b = seed.b
-    g_pos, g_neg = _exchange_exponents(b, k)
-
-    def numerator():  # built only for an exchange not proved before
-        return (_ordered_product(seed.vars, g_pos) + _ordered_product(seed.vars, g_neg)).exact_div
-    monomials = ((g_pos, 0), (g_neg, 0))
-    new_vars = _exchange(seed, k, monomials, numerator, "Laurent ring", "classical", _known)
-    return ClassicalSeed(matrix_mutate(b, k), new_vars)
+    monomials = [(g, 0) for g in _exchange_exponents(seed.b, k)]  # no v-shift at q = 1
+    new_vars = _exchange(seed, k, monomials, CommLaurent.exact_div, "Laurent ring", "classical", _known)
+    return ClassicalSeed(matrix_mutate(seed.b, k), new_vars)
 
 
 def quantum_mutate(seed: QuantumSeed, k: int, _known: _Exchanges | None = None) -> QuantumSeed:
@@ -136,11 +133,7 @@ def quantum_mutate(seed: QuantumSeed, k: int, _known: _Exchanges | None = None) 
     gs = _exchange_exponents(b, k)
     # Lambda(g, e_k) = -e_k . Lambda g
     monomials = [(g, reorder_weight(lam, g) - lam.image(g)[k]) for g in gs]
-
-    def numerator():
-        terms = [_ordered_product(seed.vars, g).scalar_mul(QLaurent.v_power(s)) for g, s in monomials]
-        return (terms[0] + terms[1]).exact_div_right
-    new_vars = _exchange(seed, k, monomials, numerator, "quantum torus", "quantum", _known)
+    new_vars = _exchange(seed, k, monomials, TorusElement.exact_div_right, "quantum torus", "quantum", _known)
     return QuantumSeed(_frame_mutate(lam, k, gs[0]), matrix_mutate(b, k), new_vars, seed.d)
 
 

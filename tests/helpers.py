@@ -166,16 +166,16 @@ def proved(table) -> list:
 def count_numerators(monkeypatch) -> list:
     """The variables of every exchange numerator built from here on, one entry per numerator.
 
-    Each numerator is the sum of two ordered products (mutation._ordered_product).
+    Each numerator is the sum of two shifted ordered products (mutation._ordered_product).
     """
     import qcluster.mutation
 
     products: list = []
     product = qcluster.mutation._ordered_product
 
-    def counting(vars, g):
+    def counting(vars, g, s=0):
         products.append(vars)
-        return product(vars, g)
+        return product(vars, g, s)
 
     monkeypatch.setattr(qcluster.mutation, "_ordered_product", counting)
     return products

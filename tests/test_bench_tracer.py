@@ -9,16 +9,28 @@ import importlib
 from pathlib import Path
 
 import qcluster
-from qcluster import CommLaurent, TorusElement
+from qcluster import (
+    ClassicalSeed,
+    CommLaurent,
+    ExchangeMatrix,
+    QuantumSeed,
+    SkewMatrix,
+    TorusElement,
+    mutate,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_tracer_install_and_uninstall_round_trip(monkeypatch):
+def installed_tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
     tracer = tracing.Tracer()
-    saved = tracing.install(qcluster, tracer)
+    return tracing, tracer, tracing.install(qcluster, tracer)
+
+
+def test_tracer_install_and_uninstall_round_trip(monkeypatch):
+    tracing, tracer, saved = installed_tracer(monkeypatch)
     try:
         owners = {owner for owner, _, _ in saved}
         assert {CommLaurent, TorusElement} <= owners
@@ -35,3 +47,23 @@ def test_tracer_install_and_uninstall_round_trip(monkeypatch):
         assert vars(owner)[attr] is original
     for cls in (CommLaurent, TorusElement):
         assert cls.__hash__ is not None
+
+
+def test_tracer_sees_each_mutation_division(monkeypatch):
+    # the exchange step looks the ring's division up on its class at call
+    # time, so the tracer's wrapper books it; a division bound at import
+    # would book none
+    b = ExchangeMatrix([[0, 1], [-1, 0]])
+    seeds = (ClassicalSeed.initial(b), QuantumSeed.initial(b, SkewMatrix([[0, 1], [-1, 0]])))
+    tracing, tracer, saved = installed_tracer(monkeypatch)
+    try:
+        for seed in seeds:
+            tracer.calls.clear()
+            tracer.active = True
+            mutate(seed, 0)
+            tracer.active = False
+            assert tracer.calls.get("torus.div") == 1, type(seed).__name__
+            assert tracer.calls.get("torus.mul", 0) >= 1, type(seed).__name__
+    finally:
+        tracer.active = False
+        tracing.uninstall(saved)

@@ -35,6 +35,8 @@ from helpers import (
 )
 from oracles import kronecker_variable, positive_roots, quantum_kronecker_variable
 from qcluster.mutation import _ends, _Exchanges
+from qcluster.seeds import _exchange_exponents
+from qcluster.torus import reorder_weight
 
 L2 = SkewMatrix([[0, 1], [-1, 0]])
 
@@ -179,6 +181,32 @@ def test_quantum_remultiplication_identity():
         lam, {(0, 0): QLaurent.one(), (0, 1): QLaurent.v_power(-1)}
     )
     assert prod == expected
+
+
+def test_quantum_remultiplication_identity_random_principal():
+    # the same identity on random principal seeds, a few steps in, with N
+    # built here term by term: X^g = v^{reorder weight} * ordered product,
+    # twisted by Lambda(g, e_k) = -(Lambda g)_k
+    rng = random.Random(61)
+    shifts = set()
+    for n in (2, 3):
+        for _ in range(6):
+            s = random_principal_quantum_seed(rng, n)
+            for _ in range(2):
+                s = quantum_mutate(s, rng.choice(s.ex))
+            lam = s.lam
+            for k in s.ex:
+                expected = None
+                for g in _exchange_exponents(s.b, k):
+                    shift = reorder_weight(lam, g) - lam.image(g)[k]
+                    term = TorusElement.one(s.vars[0].lam)
+                    for v, e in zip(s.vars, g):
+                        term = term * v ** e
+                    term = term.scalar_mul(QLaurent.v_power(shift))
+                    expected = term if expected is None else expected + term
+                    shifts.add(shift != 0)
+                assert quantum_mutate(s, k).vars[k] * s.vars[k] == expected
+    assert shifts == {False, True}  # both a zero and a nonzero v-shift were met
 
 
 def test_quantum_frozen_variables_never_change():
