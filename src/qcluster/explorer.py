@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import blake2b
-from itertools import accumulate
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii as _encode
 from typing import Mapping, Sequence
 
@@ -315,13 +315,14 @@ class LaurentReport:
 
 
 def _membership_row(step: int, index: int, direction: int | None, v) -> LaurentRow:
-    lo = v.min_exponents()
+    support = tuple(v.support())  # unpacked once; min_exponents() raises for the zero element
+    lo = tuple(map(min, zip(*support))) if support else v.min_exponents()
     return LaurentRow(
         step,
         index,
         direction,
         True,
-        tuple(v.support()),
+        support,
         lo,
         tuple(max(0, -x) for x in lo),
         None,
@@ -382,13 +383,36 @@ def _display_order(graph: ExchangeGraph):
 _SLOT = _Raw("\0")  # json's text escapes a NUL, so a raw one marks where a value goes
 
 
+def _layout(obj, nl: str) -> str:
+    """_indented(obj, nl) as a %-format: a %s at each _SLOT, any other % doubled."""
+    return _indented(obj, nl).replace("%", "%%").replace(_SLOT, "%s")
+
+
+def _flat(record: dict):
+    """(shape, ints) of a record of ints, int lists and int rows: each entry's key with
+    None, its length or its rows' lengths, and its ints in sorted-key order, row by row."""
+    shape, ints = [], []
+    for key, value in sorted(record.items()):
+        if type(value) is int:
+            shape.append((key, None))
+            ints.append(value)
+        elif value and type(value[0]) is list:
+            shape.append((key, tuple(map(len, value))))
+            ints += chain.from_iterable(value)
+        else:
+            shape.append((key, len(value)))
+            ints += value
+    return tuple(shape), ints
+
+
 def export_json(graph: ExchangeGraph, full: bool = False) -> str:
     """Stable JSON rendering of a graph; full=True embeds the variables.
 
-    _indented lays out each record shape once around _SLOTs: the top record,
-    an edge, a node's envelope and each node's dump_seed record, with a slot
-    per variable.  The pieces between slots, the ids, depths, ks and each
-    distinct variable's text (rendered once) go to one list, joined once.
+    _indented lays out each shape once per call around _SLOTs: the top record,
+    an edge, a node with a dump_seed record of each shape (_flat) and a variable
+    term of each width.  Each edge, node and term fills its layout with ints and
+    texts; each distinct variable is rendered once, from to_json().  The pieces
+    go to one list, joined once.
     """
     ids, keys, edges = _display_order(graph)
     quoted = {key: _encode(i) for key, i in ids.items()}
@@ -397,27 +421,44 @@ def export_json(graph: ExchangeGraph, full: bool = False) -> str:
            "node_count": graph.node_count, "nodes": two,
            "root": ids[graph.root], "status": graph.status.value}
     *lead, node_sep, tail = _indented(top).split(_SLOT)  # edges sort before nodes
-    edge = _indented({"from": _SLOT, "k": _SLOT, "to": _SLOT}, "\n    ").split(_SLOT)
-    node = _indented({"depth": _SLOT, "id": _SLOT, "seed": _SLOT}, "\n    ").split(_SLOT)
+    edge = _layout({"from": _SLOT, "k": _SLOT, "to": _SLOT}, "\n    ")
     out = [lead[0]]
     for a, k, c in edges:
-        out += (edge[0], quoted[a], edge[1], str(k + 1), edge[2], quoted[c], edge[3], lead[1])
+        out += (edge % (quoted[a], k + 1, quoted[c]), lead[1])
     if edges:
         out[-1] = lead[2]
+    nl = "\n" + "  " * 5  # a variable's depth in the record: nodes, node, seed, vars
+    opening, sep, close = _indented(two, nl).split(_SLOT)
+    layouts: dict = {}  # node layouts by record shape, term layouts by width
     texts: dict[bytes, str] = {}  # equal _var_key bytes, equal to_json(): render each once
+
+    def text(v) -> str:
+        terms = v.to_json()
+        if not terms:  # the zero element
+            return _indented(terms)
+        width = len(terms[0]["exp"])
+        if width not in layouts:  # a term sits one level below its variable, a coefficient two
+            layouts[width] = _layout({"coeff": _SLOT, "exp": [_SLOT] * width}, nl + "  ")
+        term, deeper = layouts[width], nl + "    "
+        return opening + sep.join([term % (
+            _encode(c) if type(c := t["coeff"]) is str else _indented(c, deeper), *t["exp"])
+            for t in terms]) + close
+
     for key in keys:
         seed = graph.nodes[key]
-        record = dump_seed(seed)
+        shape, fill = _flat(dump_seed(seed))
         if full:
-            record["vars"] = [_SLOT] * seed.m
-        pieces = _indented(record, "\n      ").split(_SLOT)
-        out += (node[0], str(graph.depths[key]), node[1], quoted[key], node[2], pieces[0])
-        for v, piece in zip(seed.vars, pieces[1:]):
-            vkey = _var_key(v)
-            if vkey not in texts:  # at depth 5 in the record: nodes, node, seed, vars
-                texts[vkey] = _indented(v.to_json(), "\n" + "  " * 5)
-            out += (texts[vkey], piece)
-        out += (node[3], node_sep)
+            shape += (("vars", len(seed.vars)),)  # "vars" sorts after every dump_seed key
+            for v in seed.vars:
+                vkey = _var_key(v)
+                if vkey not in texts:
+                    texts[vkey] = text(v)
+                fill.append(texts[vkey])
+        if shape not in layouts:
+            record = {k: _SLOT if n is None else [_SLOT] * n if type(n) is int
+                      else [[_SLOT] * w for w in n] for k, n in shape}
+            layouts[shape] = _layout({"depth": _SLOT, "id": _SLOT, "seed": record}, "\n    ")
+        out += (layouts[shape] % (graph.depths[key], quoted[key], *fill), node_sep)
     out[-1] = tail
     return "".join(out)
 

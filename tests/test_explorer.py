@@ -10,6 +10,7 @@ import pytest
 from qcluster import (
     ClassicalSeed,
     CommLaurent,
+    ExchangeGraph,
     ExchangeMatrix,
     GraphStatus,
     NotDivisibleError,
@@ -30,7 +31,7 @@ from qcluster import (
     quantum_mutate,
     verify_quantum_seed,
 )
-from qcluster.explorer import _cluster_summary
+from qcluster.explorer import _cluster_summary, _var_key
 
 from helpers import (
     A2_ROWS,
@@ -344,6 +345,37 @@ def test_report_denominator_matches_min_exponents():
         )
 
 
+WALKS = {
+    "A5": (lambda: classical(a_rows(5)), [0, 1, 2, 3, 4, 2, 0, 1, 3, 2]),
+    "quantum-D4": (lambda: principal_seed(D4_ROWS), [0, 1, 2, 3, 1, 0, 2, 1]),
+    "kronecker-frozen": (lambda: classical(KRONECKER + [[1, -1]], [0, 1]), [0, 1] * 5),
+    "kronecker-quantum": (lambda: principal_seed(KRONECKER), [1, 0] * 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALKS))
+def test_report_rows_read_support_and_min_exponents_off_the_variable(name):
+    build, walk = WALKS[name]
+    seed = build()
+    rows = laurent_report(seed, []).rows + laurent_report(seed, walk).rows
+    assert len(rows) == seed.m + len(walk)
+    for row in rows:
+        v = seed.vars[row.index]
+        if row.step:
+            seed = mutate(seed, row.index)
+            v = seed.vars[row.index]
+        assert row.support == tuple(v.support())
+        assert row.min_exponents == v.min_exponents()
+        assert len(row.support) > 1 or row.step == 0
+
+
+def test_report_on_a_zero_variable_raises_as_min_exponents_does():
+    zero = CommLaurent(2, [])
+    seed = ClassicalSeed(ExchangeMatrix(A2_ROWS), (zero, CommLaurent.generator(2, 1)))
+    with pytest.raises(ValueError, match="has no support"):
+        laurent_report(seed, [])
+
+
 def test_report_records_failure_and_stops():
     b = ExchangeMatrix(A2_ROWS)
     x1 = CommLaurent.generator(2, 0)
@@ -613,10 +645,111 @@ def test_export_json_of_capped_graphs_equals_json_dumps_of_the_record(build, cap
     assert ('"edges": []' in text) == (g.edge_count == 0) == (nodes == 1)
 
 
+def _scaled_frozen(rows, ex, factor):
+    """The initial classical seed over rows but with its last (frozen) variable times factor."""
+    seed = classical(rows, ex)
+    return ClassicalSeed(seed.b, seed.vars[:-1] + (factor * seed.vars[-1],))
+
+
+def _coefficients(graph):
+    return [t["coeff"] for seed in graph.nodes.values() for v in seed.vars for t in v.to_json()]
+
+
+# record shapes and coefficient texts the pinned digests do not cover, each with
+# a check that the graph still has what it is here for
+EXPORT_SHAPES = {
+    "A3-frozen": (
+        lambda: classical(a_rows(3) + [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 1, 2]),
+        {},
+        lambda g: all(seed.m == 6 > seed.n for seed in g.nodes.values()),
+    ),
+    "kronecker-quantum-depth-8": (
+        lambda: principal_seed(KRONECKER),
+        {"max_depth": 8},
+        # exponent strings whose text order is not their numeric order
+        lambda g: any({"-2", "10", "2"} <= set(c) for c in _coefficients(g)),
+    ),
+    "kronecker-frozen-big-negative": (
+        lambda: _scaled_frozen(KRONECKER + [[1, -1]], [0, 1], -(2**70)),
+        {"max_depth": 6},
+        lambda g: any(int(c) < -(2**64) for c in _coefficients(g))
+        and any(int(c) > 2**64 for c in _coefficients(g)),
+    ),
+    "A2-zero-frozen": (
+        lambda: _scaled_frozen(a_rows(2) + [[1, -1]], [0, 1], 0),
+        {},
+        lambda g: g.node_count == 5 and all(not seed.vars[2] for seed in g.nodes.values()),
+    ),
+}
+
+
+@pytest.mark.parametrize("full", [True, False])
+@pytest.mark.parametrize("name", sorted(EXPORT_SHAPES))
+def test_export_json_of_other_shapes_equals_json_dumps_of_the_record(name, full):
+    build, kwargs, has_shape = EXPORT_SHAPES[name]
+    g = explore(build(), **kwargs)
+    assert has_shape(g)
+    assert export_json(g, full=full) == unmemoised_export_json(g, full)
+
+
+def test_export_json_of_mixed_record_shapes_equals_json_dumps_of_the_record():
+    # a graph is one mutation class, so one record shape; two shapes in one
+    # graph (built here by hand) must each get their own layout
+    a3, a2 = explore(classical(a_rows(3))), explore(principal_seed(a_rows(2)))
+    nodes = {**a3.nodes, **a2.nodes}
+    g = ExchangeGraph(a3.root, nodes, {**a3.depths, **a2.depths}, {**a3.parents, **a2.parents},
+                      a3.edges + a2.edges, GraphStatus.CLOSED)
+    for full in (True, False):
+        assert export_json(g, full=full) == unmemoised_export_json(g, full)
+
+
+@pytest.fixture
+def indented_calls(monkeypatch):
+    """The objects of the outermost _indented calls, the writer's own recursion left out."""
+    import qcluster.explorer
+
+    calls, inside = [], []
+    original = qcluster.explorer._indented
+
+    def counted(obj, nl="\n"):
+        if not inside:
+            calls.append(obj)
+        inside.append(obj)
+        try:
+            return original(obj, nl)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(qcluster.explorer, "_indented", counted)
+    return calls
+
+
+@pytest.mark.parametrize("full", [True, False])
+def test_export_json_lays_out_records_and_terms_once(indented_calls, full):
+    # a torus coefficient ({v-exponent: coefficient} strings) is rendered per
+    # term; every other call lays out a shape, at most once per export
+    def count(build, **kwargs):
+        g = explore(build(), **kwargs)
+        indented_calls.clear()
+        export_json(g, full=full)
+        coeffs = [c for c in indented_calls if type(c) is dict and all(type(x) is str for x in c.values())]
+        distinct = {_var_key(v): v for seed in g.nodes.values() for v in seed.vars}
+        terms = sum(len(v) for v in distinct.values() if isinstance(v, TorusElement))
+        assert len(coeffs) == (terms if full else 0)
+        return len(indented_calls) - len(coeffs)
+
+    layouts = {
+        count(lambda: classical(a_rows(4))),
+        count(lambda: classical(a_rows(5))),
+        count(lambda: classical(KRONECKER + [[1, -1]], [0, 1]), max_depth=10),
+        count(lambda: principal_seed(D4_ROWS)),
+        count(lambda: principal_seed(KRONECKER), max_depth=6),
+    }
+    assert layouts == {5 if full else 4}
+
+
 @pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
 def test_export_json_renders_each_distinct_variable_once(name, monkeypatch):
-    from qcluster.explorer import _var_key
-
     build, kwargs, _ = EXPORT_DIGESTS[name]
     g = explore(build(), **kwargs)
     calls = []
@@ -800,8 +933,6 @@ def test_serving_as_a_key_changes_no_variable():
 
 @pytest.mark.parametrize("seed", [a2_classical(), a2_quantum()], ids=["classical", "quantum"])
 def test_raw_elements_serialize_like_constructed_ones(seed):
-    from qcluster.explorer import _var_key
-
     x, y = seed.vars
     product = x * y * y + y  # products and sums are made by _raw
     if isinstance(x, TorusElement):
