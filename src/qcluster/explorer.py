@@ -7,8 +7,9 @@ The canonical form sorts the exchangeable indices by the serialized
 form of their variables alone: well defined because variables are in
 initial-cluster coordinates, which never move, and total because a
 cluster's variables are pairwise distinct (a repeat raises ValueError).
-The canonical key is spliced from each variable's JSON bytes, kept on the
-object, and equals the bytes of dump_seed(canonical seed, full=True);
+The canonical key fills a compact-JSON layout, made once per record shape,
+with the record's ints and each variable's JSON bytes, kept on the object,
+and equals the bytes of dump_seed(canonical seed, full=True);
 explore builds that seed, with its matrices checked, only for a key it has
 not seen.  A variable met before is proved by the re-multiplication check,
 not divided, and its first object returned, so it is serialized once.
@@ -28,6 +29,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
 from hashlib import blake2b
 from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii as _encode
@@ -44,6 +46,9 @@ def _json_bytes(data) -> bytes:
 
 class _Raw(str):
     """JSON text that _indented splices as it is."""
+
+
+_SLOT = _Raw("\0")  # json's text escapes a NUL, so a raw one marks where a value goes
 
 
 def _indented(obj, nl: str = "\n") -> str:
@@ -75,12 +80,42 @@ def _var_key(v) -> bytes:
         return key
 
 
+def _flat(record: dict):
+    """(shape, ints) of a record of ints, int lists and int rows: each entry's key with
+    None, its length or its rows' lengths, and its ints in sorted-key order, row by row."""
+    shape, ints = [], []
+    for key, value in sorted(record.items()):
+        if type(value) is int:
+            shape.append((key, None))
+            ints.append(value)
+        elif value and type(value[0]) is list:
+            shape.append((key, tuple(map(len, value))))
+            ints += chain.from_iterable(value)
+        else:
+            shape.append((key, len(value)))
+            ints += value
+    return tuple(shape), ints
+
+
+def _slotted(shape) -> dict:
+    """The record of a shape (see _flat) with a _SLOT for each int."""
+    return {k: _SLOT if n is None else [_SLOT] * n if type(n) is int
+            else [[_SLOT] * w for w in n] for k, n in shape}
+
+
+@lru_cache(maxsize=None)
+def _key_layout(shape) -> bytes:
+    """A key of this record shape (see _flat) as a %-format, made once: %d per int, then "vars"."""
+    text = _json_bytes(_slotted(shape)).replace(b"%", b"%%").replace(b'"\\u0000"', b"%d")
+    return text[:-1] + b',"vars":[%s]}'
+
+
 def _canonical(seed):
     """(inv, order, head, pi, key) of the canonical form, which is not built here.
 
     Row i of the form is row inv[i] of seed, column j is column order[j],
     and pi = inv^-1; head is the form's record, dump_seed's entries but
-    "vars", which sorts last, so the key is head's bytes spliced with the
+    "vars", so the key fills its shape's _key_layout with head's ints and the
     variables' cached bytes (_var_key).
     """
     ex, m, n = seed.b.ex, seed.b.m, seed.b.n
@@ -93,9 +128,9 @@ def _canonical(seed):
     for t, j in enumerate(order):
         pi[ex[j]], inv[ex[t]] = ex[t], ex[j]
     head = seed._record(inv, order)
-    vars_ = b",".join([var_keys[i] for i in inv])
-    key = b'%s,"vars":[%s]}' % (_json_bytes(head)[:-1], vars_)
-    return inv, order, head, tuple(pi), key
+    shape, ints = _flat(head)
+    ints.append(b",".join([var_keys[i] for i in inv]))
+    return inv, order, head, tuple(pi), _key_layout(shape) % tuple(ints)
 
 
 def canonical_form(seed):
@@ -114,8 +149,8 @@ def canonical_form(seed):
 def canonical_key(seed) -> bytes:
     """Serialized canonical form; equal iff seeds agree up to relabeling.
 
-    Spliced from each variable's cached bytes, it equals
-    _json_bytes(dump_seed(canonical_form(seed)[0], full=True)).
+    Its shape's layout filled with the record's ints and each variable's
+    cached bytes, it equals _json_bytes(dump_seed(canonical_form(seed)[0], full=True)).
     """
     return _canonical(seed)[4]
 
@@ -164,6 +199,14 @@ class ExchangeGraph:
             if len(set(ids.values())) == len(ids):
                 return ids
             size *= 2
+
+    @cached_property
+    def _display_order(self):
+        """(ids, node keys by (depth, id), edges by (id, k, id)): both exports' order, made once."""
+        ids = self.node_ids()
+        nodes = sorted(self.nodes, key=lambda key: (self.depths[key], ids[key]))
+        edges = sorted(self.edges, key=lambda e: (ids[e[0]], e[1], ids[e[2]]))
+        return ids, nodes, edges
 
 
 def explore(
@@ -372,37 +415,9 @@ def _cluster_summary(seed, texts: dict, limit: int = 28) -> str:
     return ", ".join(parts)
 
 
-def _display_order(graph: ExchangeGraph):
-    """(ids, node keys by (depth, id), edges by (id, k, id)): both exports' order."""
-    ids = graph.node_ids()
-    nodes = sorted(graph.nodes, key=lambda key: (graph.depths[key], ids[key]))
-    edges = sorted(graph.edges, key=lambda e: (ids[e[0]], e[1], ids[e[2]]))
-    return ids, nodes, edges
-
-
-_SLOT = _Raw("\0")  # json's text escapes a NUL, so a raw one marks where a value goes
-
-
 def _layout(obj, nl: str) -> str:
     """_indented(obj, nl) as a %-format: a %s at each _SLOT, any other % doubled."""
     return _indented(obj, nl).replace("%", "%%").replace(_SLOT, "%s")
-
-
-def _flat(record: dict):
-    """(shape, ints) of a record of ints, int lists and int rows: each entry's key with
-    None, its length or its rows' lengths, and its ints in sorted-key order, row by row."""
-    shape, ints = [], []
-    for key, value in sorted(record.items()):
-        if type(value) is int:
-            shape.append((key, None))
-            ints.append(value)
-        elif value and type(value[0]) is list:
-            shape.append((key, tuple(map(len, value))))
-            ints += chain.from_iterable(value)
-        else:
-            shape.append((key, len(value)))
-            ints += value
-    return tuple(shape), ints
 
 
 def export_json(graph: ExchangeGraph, full: bool = False) -> str:
@@ -414,7 +429,7 @@ def export_json(graph: ExchangeGraph, full: bool = False) -> str:
     texts; each distinct variable is rendered once, from to_json().  The pieces
     go to one list, joined once.
     """
-    ids, keys, edges = _display_order(graph)
+    ids, keys, edges = graph._display_order
     quoted = {key: _encode(i) for key, i in ids.items()}
     two = [_SLOT, _SLOT]  # a list's opening, its separator and its close
     top = {"edge_count": graph.edge_count, "edges": two if edges else [],
@@ -455,8 +470,7 @@ def export_json(graph: ExchangeGraph, full: bool = False) -> str:
                     texts[vkey] = text(v)
                 fill.append(texts[vkey])
         if shape not in layouts:
-            record = {k: _SLOT if n is None else [_SLOT] * n if type(n) is int
-                      else [[_SLOT] * w for w in n] for k, n in shape}
+            record = _slotted(shape)
             layouts[shape] = _layout({"depth": _SLOT, "id": _SLOT, "seed": record}, "\n    ")
         out += (layouts[shape] % (graph.depths[key], quoted[key], *fill), node_sep)
     out[-1] = tail
@@ -465,7 +479,7 @@ def export_json(graph: ExchangeGraph, full: bool = False) -> str:
 
 def export_dot(graph: ExchangeGraph) -> str:
     """GraphViz rendering: nodes carry id and cluster summary, edges k."""
-    ids, keys, edges = _display_order(graph)
+    ids, keys, edges = graph._display_order
     texts: dict[bytes, str] = {}
     lines = ["digraph exchange {"]
     lines.append('  graph [label="status: %s"];' % graph.status.value)

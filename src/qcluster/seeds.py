@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .errors import IncompatibleError, NotSymmetrizableError
@@ -233,7 +234,7 @@ def _exchange_exponents(b: ExchangeMatrix, k: int) -> tuple[list[int], list[int]
     """
     p = b.position(k)
     col = [row[p] for row in b.rows()]
-    return [max(e, 0) for e in col], [max(-e, 0) for e in col]
+    return [e if e > 0 else 0 for e in col], [-e if e < 0 else 0 for e in col]
 
 
 def lambda_mutate(lam: SkewMatrix, b: ExchangeMatrix, k: int) -> SkewMatrix:
@@ -318,8 +319,11 @@ def principal_extension(bmat: Sequence[Sequence[int]]) -> ExchangeMatrix:
 
 
 def _relabel(rows, inv, order) -> list[list[int]]:
-    """Row i is row inv[i] and column j is column order[j]."""
-    return [[rows[i][j] for j in order] for i in inv]
+    """Row i is row inv[i] and column j is column order[j]; one itemgetter copies a row."""
+    if len(order) == 1:  # itemgetter(j) returns the bare entry, not a 1-tuple
+        return [[rows[i][order[0]]] for i in inv]
+    pick = itemgetter(*order)
+    return [list(pick(rows[i])) for i in inv]
 
 
 class _Seed:

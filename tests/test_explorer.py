@@ -547,6 +547,23 @@ def test_export_dot_bytes_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_DOT_DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(EXPORT_DOT_DIGESTS))
+def test_exports_of_one_graph_share_one_display_order(name, monkeypatch):
+    build, kwargs, digest = EXPORT_DIGESTS[name]
+    graph, fresh = explore(build(), **kwargs), explore(build(), **kwargs)
+    ids = fresh.node_ids()
+    calls = []
+    real = ExchangeGraph.node_ids
+    monkeypatch.setattr(ExchangeGraph, "node_ids", lambda self: calls.append(self) or real(self))
+    texts = [export_json(graph, full=True), export_dot(graph), export_json(graph, full=True)]
+    assert calls == [graph]  # the ids and both sorts are made once per graph
+    assert hashlib.sha256(texts[0].encode()).hexdigest() == digest
+    assert hashlib.sha256(texts[1].encode()).hexdigest() == EXPORT_DOT_DIGESTS[name]
+    assert texts[2] == texts[0]
+    # the cached order is no field: the graph still equals an unexported one
+    assert graph == fresh and graph.node_ids() == ids
+
+
 def _poly(constant, *more):
     """-constant - x2 + 3*x1 + 12*x1^2*x2, plus more terms: a negative first coefficient."""
     return CommLaurent(2, [((0, 0), -constant), ((1, 0), 3), ((0, 1), -1), ((2, 1), 12), *more])
@@ -891,6 +908,21 @@ KEY_CASES = {
     "kronecker-quantum-wide": EDGE_CASES["kronecker-quantum-wide"],
     # d = (1, 1, 2): relabeling must permute d as well
     "quantum-B3": (lambda: principal_seed(B3_ROWS), {}, ("Closed", 20, 60)),
+    # one column: each relabeled row is one entry, frozen rows below it
+    "rank1-two-frozen": (lambda: classical([[0], [2], [-1]], [0]), {}, ("Closed", 2, 2)),
+    "quantum-rank1": (lambda: principal_seed([[0]]), {}, ("Closed", 2, 2)),
+    # the frozen row sits between the exchangeable ones
+    "interleaved-ex": (
+        lambda: classical([[0, 1], [3, -2], [-1, 0]], [0, 2]),
+        {},
+        ("Closed", 5, 10),
+    ),
+    # Lambda entries past 2^63 fill the key's integer slots
+    "kronecker-quantum-huge-lambda0": (
+        lambda: principal_seed(KRONECKER, [[0, 10**18], [-(10**18), 0]]),
+        {"max_depth": 4},
+        ("CappedByDepth", 9, 14),
+    ),
 }
 
 

@@ -39,7 +39,7 @@ from helpers import (
     random_skew_symmetrizable,
 )
 from oracles import ref_skew_symmetrizer, ref_transform
-from qcluster.seeds import _exchange_exponents, _frame_mutate
+from qcluster.seeds import _exchange_exponents, _frame_mutate, _relabel
 
 L2 = SkewMatrix([[0, 1], [-1, 0]])
 
@@ -764,3 +764,20 @@ def test_seed_validation():
             (TorusElement.generator(L2, 0), TorusElement.generator(L2, 1)),
             (1, 1),
         )
+
+
+@pytest.mark.parametrize(
+    "m, n, order",
+    [(4, 1, "random"), (1, 3, "random"), (4, 3, "identity"), (6, 5, "random")],
+    ids=["n=1", "m=1", "identity", "random"],
+)
+def test_relabel_equals_the_plain_comprehension(m, n, order):
+    rng = random.Random(10 * m + n)
+    rows = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m))
+    if order == "identity":  # as dump_seed passes it
+        inv, cols = range(m), range(n)
+    else:
+        inv, cols = rng.sample(range(m), m), rng.sample(range(n), n)
+    got = _relabel(rows, inv, cols)
+    assert got == [[rows[i][j] for j in cols] for i in inv]
+    assert type(got) is list and all(type(row) is list for row in got)
